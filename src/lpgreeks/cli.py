@@ -2,7 +2,8 @@
 the verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 config or usage error,
-3 domain error.
+3 domain error (an input outside a formula's domain, an overflow, or a
+non-finite result).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Optional
 import click
 import numpy as np
 
-from .config import ScenarioConfig, load_config
+from .config import DAYS_PER_YEAR, ScenarioConfig, load_config
 from .errors import ConfigError, DomainError, HedgeMismatchError
 from .greeks import (
     GreeksReport,
@@ -29,9 +30,8 @@ from .greeks import (
 )
 from .payoff import impermanent_loss
 from .pricing import decay_factors, price_ig, price_locked_lp, price_unlocked_lp
-from .verify import run_verification, write_report
+from .verify import _g17, run_verification, write_report
 
-DAYS_PER_YEAR = 365.0
 _FIGURE_POINTS = 201
 
 STRATEGIES = ("unlocked-lp", "locked-lp", "ig")
@@ -48,17 +48,13 @@ def _map_errors(fn: Callable) -> Callable:
         except HedgeMismatchError as exc:
             click.echo(f"hedge precondition violated: {exc}", err=True)
             sys.exit(2)
-        except DomainError as exc:
+        except (DomainError, OverflowError) as exc:
             click.echo(f"domain error: {exc}", err=True)
             sys.exit(3)
         except ArithmeticError as exc:
             click.echo(f"internal consistency failure: {exc}", err=True)
             sys.exit(1)
     return wrapper
-
-
-def _g17(value: float) -> str:
-    return format(value, ".17g")
 
 
 @click.group()

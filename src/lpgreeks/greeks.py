@@ -39,15 +39,11 @@ class GreeksReport:
 def _report(s_t: float, delta: float, gamma: float, vega: float,
             theta: float, rho: float) -> GreeksReport:
     move = s_t / 100.0
-    return GreeksReport(
-        delta=delta,
-        delta_pct=delta * move,
-        gamma=gamma,
-        gamma_pct=gamma * move * move,
-        vega=vega,
-        theta=theta,
-        rho=rho,
-    )
+    values = (delta, delta * move, gamma, gamma * move * move, vega, theta, rho)
+    report = GreeksReport(*values)
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"non-finite greeks: {report}")
+    return report
 
 
 def greeks_unlocked_lp(state: LpState) -> GreeksReport:
@@ -87,7 +83,6 @@ def greeks_locked_lp(state: LpState) -> GreeksReport:
     m = state.market
     tau = state.tau
     d = decay_factors(m, tau)
-    carry = 0.5 * m.r_f + m.sigma * m.sigma / 8.0
     moneyness = math.sqrt(s / s0)
     fee_leg = m.phi * state.maturity_T * d.gamma_disc
     return _report(
@@ -95,7 +90,7 @@ def greeks_locked_lp(state: LpState) -> GreeksReport:
         delta=v0 * d.beta / (2.0 * math.sqrt(s0 * s)),
         gamma=-v0 * d.beta / (4.0 * math.sqrt(s0) * s**1.5),
         vega=-v0 * (m.sigma * tau / 4.0) * moneyness * d.beta,
-        theta=v0 * (moneyness * carry * d.beta + m.r_f * fee_leg),
+        theta=v0 * (moneyness * d.carry * d.beta + m.r_f * fee_leg),
         rho=-v0 * ((tau / 2.0) * moneyness * d.beta + tau * fee_leg),
     )
 
@@ -112,14 +107,13 @@ def greeks_ig(contract: IgContract, s_t: float, market: MarketParams) -> GreeksR
     k = contract.strike_k
     tau = contract.tau
     d = decay_factors(market, tau)
-    carry = 0.5 * market.r_f + market.sigma * market.sigma / 8.0
     moneyness = math.sqrt(s_t / k)
     return _report(
         s_t,
         delta=v0 * (1.0 / (2.0 * k) - d.beta / (2.0 * math.sqrt(k * s_t))),
         gamma=v0 * d.beta / (4.0 * math.sqrt(k) * s_t**1.5),
         vega=v0 * (market.sigma * tau / 4.0) * moneyness * d.beta,
-        theta=v0 * (0.5 * market.r_f * d.gamma_disc - moneyness * carry * d.beta),
+        theta=v0 * (0.5 * market.r_f * d.gamma_disc - moneyness * d.carry * d.beta),
         rho=(v0 * tau / 2.0) * (moneyness * d.beta - d.gamma_disc),
     )
 

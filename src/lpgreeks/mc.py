@@ -7,6 +7,11 @@ of a single Philox stream, normals come from the inverse CDF of that uniform,
 and per-chunk partial sums combine in a fixed pairwise order. Together these
 make every estimate bit-identical for any worker count.
 
+The terminal payoffs live in one table, PAYOFFS, typed out here on purpose:
+they are the independent reference the closed forms in pricing.py are
+checked against. The finite differences, by contrast, differentiate the
+shipped closed forms themselves (pricing.lp_premium and pricing.ig_premium).
+
 PRNG: Philox 4x64 (10 rounds) as implemented by numpy.random.Philox, keyed by
 the seed. numpy guarantees stream stability for a released BitGenerator.
 """
@@ -16,20 +21,21 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import DomainError, StepCollapseError, require_non_negative, require_positive
-from .pricing import MarketParams, decay_factors
+from .errors import (DomainError, StepCollapseError, require_finite, require_non_negative,
+                     require_positive)
+from .pricing import MarketParams, decay_factors, ig_premium, lp_premium
 
 _CHUNK = 1 << 16
 
-PAYOFFS = ("locked_lp", "ig", "sqrt_moment", "forward", "vanilla_call", "vanilla_put")
-_DISCOUNTED = frozenset({"locked_lp", "ig", "vanilla_call", "vanilla_put"})
-PRICERS = ("unlocked_lp", "locked_lp", "ig")
+_LP_FIELDS = ("v0", "entry_price", "horizon")
+# pricer -> scenario fields it needs
+PRICERS = {"unlocked_lp": _LP_FIELDS, "locked_lp": _LP_FIELDS, "ig": ("v0", "strike", "horizon")}
 GREEK_NAMES = ("delta", "gamma", "vega", "theta", "rho")
 
 _BUMP_MIN = 1e-8
@@ -85,57 +91,39 @@ class McScenario:
         require_non_negative("tau", self.tau)
 
 
-def sample_terminal(s_t: float, market: MarketParams, tau: float, draw: float) -> float:
-    """One exact lognormal terminal price for a standard normal draw:
-    s_t * exp((r_f - sigma^2/2) * tau + sigma * sqrt(tau) * draw)."""
+def sample_terminal(s_t: float, market: MarketParams, tau: float, draw):
+    """Exact lognormal terminal prices for standard normal draws, a float or an
+    array: s_t * exp((r_f - sigma^2/2) * tau + sigma * sqrt(tau) * draw)."""
     require_positive("s_t", s_t)
     require_non_negative("tau", tau)
     sigma = market.sigma
-    return s_t * math.exp((market.r_f - 0.5 * sigma * sigma) * tau
-                          + sigma * math.sqrt(tau) * draw)
+    drift = (market.r_f - 0.5 * sigma * sigma) * tau
+    diffusion = sigma * math.sqrt(tau)
+    z = np.asarray(draw, dtype=float)
+    if diffusion == 0.0:  # skips 0 * inf = nan on an infinite draw
+        out = np.full_like(z, s_t * math.exp(drift))
+    else:
+        out = s_t * np.exp(drift + diffusion * z)
+    return out if out.ndim else require_finite("terminal price", float(out))
 
 
-def _terminal_array(scn: McScenario, z: np.ndarray) -> np.ndarray:
-    sigma = scn.market.sigma
-    drift = (scn.market.r_f - 0.5 * sigma * sigma) * scn.tau
-    diffusion = sigma * math.sqrt(scn.tau)
-    if diffusion == 0.0:
-        return np.full_like(z, scn.s_t * math.exp(drift))
-    return scn.s_t * np.exp(drift + diffusion * z)
+# payoff -> (scenario fields it needs, discounted at exp(-r_f * tau)?, value at S_T)
+PAYOFFS: dict[str, tuple[tuple[str, ...], bool, Callable]] = {
+    "locked_lp": (_LP_FIELDS, True, lambda scn, s: scn.v0 * (
+        np.sqrt(s / scn.entry_price) + scn.market.phi * scn.horizon)),
+    "ig": (("v0", "strike"), True, lambda scn, s: scn.v0 * (
+        0.5 + s / (2.0 * scn.strike) - np.sqrt(s / scn.strike))),
+    "sqrt_moment": ((), False, lambda scn, s: np.sqrt(s)),
+    "forward": ((), False, lambda scn, s: s),
+    "vanilla_call": (("strike",), True, lambda scn, s: np.maximum(s - scn.strike, 0.0)),
+    "vanilla_put": (("strike",), True, lambda scn, s: np.maximum(scn.strike - s, 0.0)),
+}
 
 
-def _payoff_values(payoff: str, scn: McScenario, z: np.ndarray) -> np.ndarray:
-    s_terminal = _terminal_array(scn, z)
-    if payoff == "sqrt_moment":
-        return np.sqrt(s_terminal)
-    if payoff == "forward":
-        return s_terminal
-    if payoff == "locked_lp":
-        return scn.v0 * (np.sqrt(s_terminal / scn.entry_price)
-                         + scn.market.phi * scn.horizon)
-    if payoff == "ig":
-        return scn.v0 * (0.5 + s_terminal / (2.0 * scn.strike)
-                         - np.sqrt(s_terminal / scn.strike))
-    if payoff == "vanilla_call":
-        return np.maximum(s_terminal - scn.strike, 0.0)
-    if payoff == "vanilla_put":
-        return np.maximum(scn.strike - s_terminal, 0.0)
-    raise DomainError(f"unknown payoff {payoff!r}; expected one of {PAYOFFS}")
-
-
-def _validate_scenario(payoff: str, scn: McScenario) -> None:
-    if payoff not in PAYOFFS:
-        raise DomainError(f"unknown payoff {payoff!r}; expected one of {PAYOFFS}")
-    needed: tuple[str, ...] = ()
-    if payoff == "locked_lp":
-        needed = ("v0", "entry_price", "horizon")
-    elif payoff == "ig":
-        needed = ("v0", "strike")
-    elif payoff in ("vanilla_call", "vanilla_put"):
-        needed = ("strike",)
-    for field_name in needed:
+def _require_fields(user: str, fields: tuple[str, ...], scn: McScenario) -> None:
+    for field_name in fields:
         if getattr(scn, field_name) is None:
-            raise DomainError(f"payoff {payoff!r} needs scenario field {field_name!r}")
+            raise DomainError(f"{user} needs scenario field {field_name!r}")
 
 
 def _stream_uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -157,10 +145,12 @@ def _chunk_stats(payoff: str, scn: McScenario, cfg: McConfig,
                  start: int, stop: int) -> np.ndarray:
     u = _stream_uniforms(cfg.seed, start, stop - start)
     z = ndtri(u)
+    value = PAYOFFS[payoff][2]
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _payoff_values(payoff, scn, z)
+        values = value(scn, sample_terminal(scn.s_t, scn.market, scn.tau, z))
         if cfg.antithetic:
-            values = 0.5 * (values + _payoff_values(payoff, scn, -z))
+            mirrored = value(scn, sample_terminal(scn.s_t, scn.market, scn.tau, -z))
+            values = 0.5 * (values + mirrored)
     if not np.isfinite(values).all():
         raise DomainError(f"payoff {payoff!r} evaluated to non-finite values")
     return np.array([values.sum(), np.square(values).sum()])
@@ -184,7 +174,10 @@ def mc_price(payoff: str, scenario: McScenario, cfg: McConfig) -> McEstimate:
     antithetic on, each path index is paired with its mirrored draw and the
     pair average feeds the variance, doubling the effective draw count.
     """
-    _validate_scenario(payoff, scenario)
+    if payoff not in PAYOFFS:
+        raise DomainError(f"unknown payoff {payoff!r}; expected one of {tuple(PAYOFFS)}")
+    fields, discounted, _ = PAYOFFS[payoff]
+    _require_fields(f"payoff {payoff!r}", fields, scenario)
     n = cfg.n_paths
     spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
     if cfg.workers == 1 or len(spans) == 1:
@@ -199,8 +192,8 @@ def mc_price(payoff: str, scenario: McScenario, cfg: McConfig) -> McEstimate:
     mean = total[0] / n
     var = max((total[1] - n * mean * mean) / (n - 1), 0.0) if n > 1 else 0.0
     std_error = math.sqrt(var / n)
-    if payoff in _DISCOUNTED:
-        discount = math.exp(-scenario.market.r_f * scenario.tau)
+    if discounted:
+        discount = decay_factors(scenario.market, scenario.tau).gamma_disc
         mean *= discount
         std_error *= discount
     return McEstimate(
@@ -210,59 +203,47 @@ def mc_price(payoff: str, scenario: McScenario, cfg: McConfig) -> McEstimate:
     )
 
 
-def _closed_form_price(pricer: str, scn: McScenario, s_t: float,
-                       sigma: float, r_f: float, t: float) -> float:
-    """Parameter-space pricers used by the finite differences.
-
-    The clock t may run below zero (valuing before inception is smooth), but
-    the remaining time horizon - t must stay non-negative wherever it enters
-    a formula; a violated bound raises StepCollapseError.
-    """
-    if s_t <= 0.0:
-        raise StepCollapseError(f"bumped spot left the domain: {s_t!r}")
-    if sigma < 0.0:
-        raise StepCollapseError(f"bumped sigma left the domain: {sigma!r}")
-    market = MarketParams(r_x=r_f, r_y=0.0, sigma=sigma, phi=scn.market.phi)
-    if pricer == "unlocked_lp":
-        return scn.v0 * (math.sqrt(s_t / scn.entry_price) + market.phi * t)
-    tau = scn.horizon - t
-    if tau < 0.0:
-        raise StepCollapseError(f"bumped clock passed the maturity: t={t!r} > T={scn.horizon!r}")
-    d = decay_factors(market, tau)
-    if pricer == "locked_lp":
-        return scn.v0 * (math.sqrt(s_t / scn.entry_price) * d.beta
-                         + market.phi * scn.horizon * d.gamma_disc)
-    if pricer == "ig":
-        return scn.v0 * (0.5 * d.gamma_disc + s_t / (2.0 * scn.strike)
-                         - math.sqrt(s_t / scn.strike) * d.beta)
-    raise DomainError(f"unknown pricer {pricer!r}; expected one of {PRICERS}")
-
-
 def fd_greek(pricer: str, scenario: McScenario, which: str, bump: float = 1e-5) -> float:
-    """Central finite difference of a closed-form pricer.
+    """Central finite difference of the shipped closed-form premium
+    (pricing.lp_premium or pricing.ig_premium).
 
     The step is bump * max(|x|, 1) in the bumped parameter x, keeping the step
     relative for the spot while giving small rates and vols an absolute floor.
     gamma uses a second central difference (a coarser bump, about 1e-4, keeps
     its rounding noise inside a 1e-5 relative budget); theta bumps the clock t
-    with the maturity held fixed; rho bumps the rate differential.
+    with the maturity held fixed; rho bumps the rate differential. The clock
+    may run below zero (valuing before inception is smooth), but the remaining
+    time horizon - t must stay non-negative wherever it enters a formula; a
+    bump that leaves the domain raises StepCollapseError.
     """
     if pricer not in PRICERS:
-        raise DomainError(f"unknown pricer {pricer!r}; expected one of {PRICERS}")
+        raise DomainError(f"unknown pricer {pricer!r}; expected one of {tuple(PRICERS)}")
     if which not in GREEK_NAMES:
         raise DomainError(f"unknown greek {which!r}; expected one of {GREEK_NAMES}")
     if not _BUMP_MIN <= bump <= _BUMP_MAX:
         raise DomainError(f"bump must lie in [{_BUMP_MIN}, {_BUMP_MAX}], got {bump!r}")
-    for field_name in ("v0", "entry_price" if pricer != "ig" else "strike", "horizon"):
-        if getattr(scenario, field_name) is None:
-            raise DomainError(f"pricer {pricer!r} needs scenario field {field_name!r}")
+    _require_fields(f"pricer {pricer!r}", PRICERS[pricer], scenario)
 
     m = scenario.market
     s, sigma, r_f = scenario.s_t, m.sigma, m.r_f
-    t = scenario.horizon - scenario.tau
+    v0, horizon = scenario.v0, scenario.horizon
+    t = horizon - scenario.tau
 
     def value(s_t: float = s, sig: float = sigma, rate: float = r_f, clock: float = t) -> float:
-        return _closed_form_price(pricer, scenario, s_t, sig, rate, clock)
+        if s_t <= 0.0:
+            raise StepCollapseError(f"bumped spot left the domain: {s_t!r}")
+        if sig < 0.0:
+            raise StepCollapseError(f"bumped sigma left the domain: {sig!r}")
+        market = MarketParams.from_rate_differential(rate, sig, m.phi)
+        if pricer == "unlocked_lp":
+            return lp_premium(v0, scenario.entry_price, s_t, market, tau=0.0, fee_years=clock)
+        tau = horizon - clock
+        if tau < 0.0:
+            raise StepCollapseError(
+                f"bumped clock passed the maturity: t={clock!r} > T={horizon!r}")
+        if pricer == "locked_lp":
+            return lp_premium(v0, scenario.entry_price, s_t, market, tau, fee_years=horizon)
+        return ig_premium(v0, scenario.strike, s_t, market, tau)
 
     if which == "delta":
         h = bump * max(abs(s), 1.0)

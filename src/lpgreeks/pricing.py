@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, require_finite, require_non_negative, require_positive
-from .pool import FeeParams, PoolPosition, lp_value
+from .pool import PoolPosition
 
 
 @dataclass(frozen=True)
@@ -98,22 +98,26 @@ class IgContract:
 class DecayFactors:
     """Exponential factors shared by every closed form.
 
-    beta = exp(-(r_f/2 + sigma^2/8) * tau) decays the sqrt-payoff leg and
-    gamma_disc = exp(-r_f * tau) is the plain discount factor. Both are 1 at
-    tau = 0; beta may exceed 1 when r_f/2 + sigma^2/8 < 0.
+    carry = r_f/2 + sigma^2/8 is the decay rate of the sqrt-payoff leg,
+    beta = exp(-carry * tau) decays that leg and gamma_disc = exp(-r_f * tau)
+    is the plain discount factor. Both factors are 1 at tau = 0; beta may
+    exceed 1 when carry < 0.
     """
 
     beta: float
     gamma_disc: float
+    carry: float
 
 
 def decay_factors(market: MarketParams, tau: float) -> DecayFactors:
     """Evaluate both decay factors over a remaining time tau."""
     require_non_negative("tau", tau)
     r_f = market.r_f
-    beta = math.exp(-(0.5 * r_f + market.sigma * market.sigma / 8.0) * tau)
-    gamma_disc = math.exp(-r_f * tau)
-    return DecayFactors(beta=beta, gamma_disc=gamma_disc)
+    carry = 0.5 * r_f + market.sigma * market.sigma / 8.0
+    if tau == 0.0:  # exactly 1 even where sigma^2 overflows (inf * 0 is nan)
+        return DecayFactors(beta=1.0, gamma_disc=1.0, carry=carry)
+    return DecayFactors(beta=math.exp(-carry * tau), gamma_disc=math.exp(-r_f * tau),
+                        carry=carry)
 
 
 def expected_sqrt_price(s_t: float, market: MarketParams, tau: float) -> float:
@@ -131,41 +135,55 @@ def forward_price(s_t: float, market: MarketParams, tau: float) -> float:
     return s_t * math.exp(market.r_f * tau)
 
 
+def lp_premium(v0: float, s0: float, s_t: float, market: MarketParams,
+               tau: float, fee_years: float) -> float:
+    """Value of an LP position entered at s0 that unlocks after tau more years,
+    crediting fee_years of fee accrual at unlock:
+    V0 * (sqrt(s_t/s0) * beta + phi * fee_years * gamma_disc).
+
+    tau = 0 with fee_years = t is the redeemable value V0 * (sqrt(s_t/s0) + phi*t),
+    bit for bit, since both factors are then exactly 1.
+    """
+    d = decay_factors(market, tau)
+    return require_finite("LP premium", v0 * (
+        math.sqrt(s_t / s0) * d.beta + market.phi * fee_years * d.gamma_disc))
+
+
+def ig_premium(v0: float, k: float, s_t: float, market: MarketParams, tau: float) -> float:
+    """Impermanent Gain premium V0 * (gamma_disc/2 + s_t/(2K) - sqrt(s_t/K) * beta)."""
+    d = decay_factors(market, tau)
+    return require_finite("IG premium", v0 * (
+        0.5 * d.gamma_disc + s_t / (2.0 * k) - math.sqrt(s_t / k) * d.beta))
+
+
 def price_unlocked_lp(state: LpState) -> float:
     """Price of a redeemable position: the underlying value plus accrued fees,
     V0 * (sqrt(s_t/s0) + phi*t)."""
     if state.locked:
         raise DomainError("state is locked; use price_locked_lp")
-    return lp_value(state.position, state.s_t, state.t, FeeParams(state.market.phi))
+    pos = state.position
+    return lp_premium(pos.notional_v0, pos.entry_price_s0, state.s_t, state.market,
+                      tau=0.0, fee_years=state.t)
 
 
 def price_locked_lp(state: LpState) -> float:
     """Fair value of a position locked until maturity.
 
-    V0 * (sqrt(s_t/s0) * beta + phi * T * gamma_disc), with the factors taken
-    over the remaining time tau. The fee leg credits the whole-horizon accrual
-    phi*T as a lump sum at maturity and discounts it.
+    The lp_premium over the remaining time tau with the whole-horizon accrual
+    phi*T credited as a lump sum at maturity and discounted.
     """
     if not state.locked:
         raise DomainError("state is unlocked; use price_unlocked_lp")
-    d = decay_factors(state.market, state.tau)
     pos = state.position
-    return pos.notional_v0 * (
-        math.sqrt(state.s_t / pos.entry_price_s0) * d.beta
-        + state.market.phi * state.maturity_T * d.gamma_disc
-    )
+    return lp_premium(pos.notional_v0, pos.entry_price_s0, state.s_t, state.market,
+                      tau=state.tau, fee_years=state.maturity_T)
 
 
 def price_ig(contract: IgContract, s_t: float, market: MarketParams) -> float:
-    """Premium of the Impermanent Gain contract.
+    """Premium of the Impermanent Gain contract (see ig_premium).
 
-    V0 * (gamma_disc/2 + s_t/(2K) - sqrt(s_t/K) * beta). Non-negative for any
-    tau >= 0 because sqrt(gamma_disc) >= beta; at tau = 0 it collapses to the
-    terminal payoff V0 * IG(s_T/K - 1).
+    Non-negative for any tau >= 0 because sqrt(gamma_disc) >= beta; at tau = 0
+    it collapses to the terminal payoff V0 * IG(s_T/K - 1).
     """
     require_positive("s_t", s_t)
-    d = decay_factors(market, contract.tau)
-    k = contract.strike_k
-    return contract.notional_v0 * (
-        0.5 * d.gamma_disc + s_t / (2.0 * k) - math.sqrt(s_t / k) * d.beta
-    )
+    return ig_premium(contract.notional_v0, contract.strike_k, s_t, market, contract.tau)

@@ -94,6 +94,19 @@ class TestPriceCommand:
                                      "--strategy", "locked-lp"])
         assert result.exit_code == 3
 
+    def test_overflow_is_domain_error(self, runner, tmp_path):
+        # exp(-r_f * tau) = exp(1000) overflows; that is not a failed verification
+        data = {
+            "market": {"r_f": -200, "sigma": 0.7, "phi": 0.1},
+            "position": {"v0": 10000, "s0": 1000, "t": 0, "T": 5, "locked": True},
+            "spot": 1000,
+            "ig": {"k": 1000, "T": 5},
+        }
+        path = write_config(tmp_path, data)
+        result = runner.invoke(cli, ["price", "--config", str(path), "--strategy", "ig"])
+        assert result.exit_code == 3
+        assert "domain error: " in result.output
+
     def test_invalid_config_exits_2(self, runner, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -137,6 +150,20 @@ class TestGreeksCommand:
             assert abs(record[greek] - fd) / max(abs(fd), 1e-12) < 1e-6
         fd = fd_greek("locked_lp", scn, "gamma", 1e-4)
         assert abs(record["gamma"] - fd) / abs(fd) < 1e-5
+
+    def test_non_finite_greek_is_domain_error(self, runner, tmp_path):
+        # sigma^2 overflows to inf, and inf * beta = inf * 0 makes theta nan
+        data = {
+            "market": {"r_f": 0.03, "sigma": 1e200, "phi": 0.1},
+            "position": {"v0": 10000, "s0": 1000, "t": 0.25, "T": 0.5, "locked": True},
+            "spot": 1000,
+        }
+        path = write_config(tmp_path, data)
+        result = runner.invoke(cli, ["greeks", "--config", str(path),
+                                     "--strategy", "locked-lp"])
+        assert result.exit_code == 3
+        assert "domain error: " in result.output
+        assert "Theta" not in result.output
 
     def test_ig_delta_positive_at_strike(self, runner, tmp_path):
         out = tmp_path / "greeks.json"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lpgreeks import (
     pool_from_deposit,
     price_ig,
     price_locked_lp,
+    price_unlocked_lp,
     sample_terminal,
 )
 from lpgreeks.mc import _stream_uniforms
@@ -53,6 +55,19 @@ class TestSampleTerminal:
     def test_strictly_positive(self):
         m = MarketParams.from_rate_differential(0.0, 1.5, 0.0)
         assert sample_terminal(1000.0, m, 2.0, -8.0) > 0.0
+
+    def test_scalar_overflow_is_domain_error(self):
+        m = MarketParams.from_rate_differential(1e4, 0.7, 0.0)
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            sample_terminal(1000.0, m, 1.0, 0.0)
+
+    @pytest.mark.parametrize("sigma, tau", [(0.7, 0.25), (1.5, 2.0), (0.0, 1.0), (0.7, 0.0)])
+    def test_array_matches_scalar_calls(self, sigma, tau):
+        m = MarketParams.from_rate_differential(0.03, sigma, 0.0)
+        draws = np.linspace(-6.0, 6.0, 97)
+        sampled = sample_terminal(1000.0, m, tau, draws)
+        assert sampled.shape == draws.shape
+        assert sampled.tolist() == [sample_terminal(1000.0, m, tau, float(z)) for z in draws]
 
 
 class TestStreamIndexing:
@@ -201,6 +216,23 @@ class TestFdGreek:
         fd = fd_greek("locked_lp", scn, "delta", 1e-5)
         closed = greeks_locked_lp(locked_half_year).delta
         assert abs(fd - closed) / abs(closed) < 1e-6
+
+    @pytest.mark.parametrize("pricer", ["unlocked_lp", "locked_lp", "ig"])
+    def test_delta_differentiates_shipped_pricer(self, pricer, locked_half_year,
+                                                 half_year_market):
+        scn = McScenario(market=half_year_market, s_t=1000.0, tau=0.25, v0=10000.0,
+                         entry_price=1000.0, strike=1000.0, horizon=0.5)
+        contract = IgContract(notional_v0=10000.0, strike_k=1000.0, maturity_T=0.5, t=0.25)
+
+        def shipped(s_t):
+            if pricer == "ig":
+                return price_ig(contract, s_t, half_year_market)
+            state = replace(locked_half_year, s_t=s_t, locked=pricer == "locked_lp")
+            return (price_locked_lp if state.locked else price_unlocked_lp)(state)
+
+        h = 1e-5 * 1000.0
+        central = (shipped(1000.0 + h) - shipped(1000.0 - h)) / (2.0 * h)
+        assert fd_greek(pricer, scn, "delta", 1e-5) == central
 
     def test_ig_gamma_with_coarse_bump(self, week_market, week_contract):
         fd = fd_greek("ig", week_ig_scenario(), "gamma", 1e-4)

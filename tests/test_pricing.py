@@ -134,6 +134,13 @@ class TestUnlockedPrice:
         state = LpState(benchmark_pool, m, s_t=1000.0, t=0.5, maturity_T=0.5, locked=False)
         assert price_unlocked_lp(state) == pytest.approx(10500.0, rel=1e-12)
 
+    def test_ignores_an_overflowing_vol(self, benchmark_pool):
+        # sigma^2 is inf here; the redeemable value must not turn into inf * 0
+        m = MarketParams.from_rate_differential(0.03, 1e200, 0.10)
+        state = LpState(benchmark_pool, m, s_t=1000.0, t=0.5, maturity_T=0.5, locked=False)
+        assert price_unlocked_lp(state) == price_unlocked_lp(
+            replace(state, market=replace(m, sigma=0.7)))
+
     def test_rejects_locked_state(self, locked_half_year):
         with pytest.raises(DomainError):
             price_unlocked_lp(locked_half_year)

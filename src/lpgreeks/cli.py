@@ -21,6 +21,7 @@ import numpy as np
 from .config import DAYS_PER_YEAR, ScenarioConfig, load_config
 from .errors import ConfigError, DomainError, HedgeMismatchError
 from .greeks import (
+    GREEK_LABELS,
     GreeksReport,
     greeks_ig,
     greeks_locked_lp,
@@ -28,13 +29,31 @@ from .greeks import (
     greeks_unlocked_lp,
     hedge_report,
 )
-from .payoff import impermanent_loss
+from .payoff import il_curve
 from .pricing import decay_factors, price_ig, price_locked_lp, price_unlocked_lp
 from .verify import _g17, run_verification, write_report
 
 _FIGURE_POINTS = 201
 
-STRATEGIES = ("unlocked-lp", "locked-lp", "ig")
+# strategy -> (price, greeks, remaining time tau), each read off a scenario at its spot
+STRATEGIES: dict[str, tuple[Callable, Callable, Callable]] = {
+    "unlocked-lp": (lambda s: price_unlocked_lp(s.lp_state()),
+                    lambda s: greeks_unlocked_lp(s.lp_state()),
+                    lambda s: s.lp_state().tau),
+    "locked-lp": (lambda s: price_locked_lp(s.lp_state()),
+                  lambda s: greeks_locked_lp(s.lp_state()),
+                  lambda s: s.lp_state().tau),
+    "ig": (lambda s: price_ig(s.ig_contract(), s.spot, s.market),
+           lambda s: greeks_ig(s.ig_contract(), s.spot, s.market),
+           lambda s: s.ig_contract().tau),
+}
+
+# greek -> (record key, text label, divisor) of its display scaling
+_DISPLAY_SCALES = {
+    "vega": ("vega_per_vol_point", "per 1% vol", 100.0),
+    "theta": ("theta_daily", "per day", DAYS_PER_YEAR),
+    "rho": ("rho_per_rate_point", "per 1% rate", 100.0),
+}
 
 
 def _map_errors(fn: Callable) -> Callable:
@@ -64,98 +83,57 @@ def cli() -> None:
     Impermanent Gain contract."""
 
 
-def _strategy_tau(scenario: ScenarioConfig, strategy: str) -> float:
-    if strategy == "ig":
-        return scenario.ig_contract().tau
-    return scenario.lp_state().tau
-
-
-def _price_record(scenario: ScenarioConfig, strategy: str) -> dict:
-    if strategy == "unlocked-lp":
-        price = price_unlocked_lp(scenario.lp_state())
-    elif strategy == "locked-lp":
-        price = price_locked_lp(scenario.lp_state())
-    else:
-        price = price_ig(scenario.ig_contract(), scenario.spot, scenario.market)
-    d = decay_factors(scenario.market, _strategy_tau(scenario, strategy))
-    return {
-        "strategy": strategy,
-        "price": price,
-        "beta": d.beta,
-        "gamma_disc": d.gamma_disc,
-        "inputs": scenario.to_dict(),
-    }
-
-
 @cli.command("price")
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False), help="Scenario JSON file.")
-@click.option("--strategy", required=True, type=click.Choice(STRATEGIES))
+@click.option("--strategy", required=True, type=click.Choice(tuple(STRATEGIES)))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the machine-readable record to this path.")
 @_map_errors
 def cmd_price(config_path: str, strategy: str, out_path: Optional[str]) -> None:
     """Price one strategy, echoing the decay factors and all inputs."""
     scenario = load_config(config_path)
-    record = _price_record(scenario, strategy)
-    click.echo(f"strategy:   {record['strategy']}")
-    click.echo(f"price:      {_g17(record['price'])}")
-    click.echo(f"beta:       {_g17(record['beta'])}")
-    click.echo(f"gamma_disc: {_g17(record['gamma_disc'])}")
+    price, _, tau = STRATEGIES[strategy]
+    value = price(scenario)
+    d = decay_factors(scenario.market, tau(scenario))
+    record = {"strategy": strategy, "price": value, "beta": d.beta,
+              "gamma_disc": d.gamma_disc, "inputs": scenario.to_dict()}
+    click.echo(f"strategy:   {strategy}")
+    click.echo(f"price:      {_g17(value)}")
+    click.echo(f"beta:       {_g17(d.beta)}")
+    click.echo(f"gamma_disc: {_g17(d.gamma_disc)}")
     click.echo("inputs:     " + json.dumps(record["inputs"], sort_keys=True))
     if out_path:
         Path(out_path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _greeks_for(scenario: ScenarioConfig, strategy: str) -> GreeksReport:
-    if strategy == "unlocked-lp":
-        return greeks_unlocked_lp(scenario.lp_state())
-    if strategy == "locked-lp":
-        return greeks_locked_lp(scenario.lp_state())
-    return greeks_ig(scenario.ig_contract(), scenario.spot, scenario.market)
-
-
 def _greeks_record(report: GreeksReport) -> dict:
-    return {
-        "delta": report.delta,
-        "delta_pct": report.delta_pct,
-        "gamma": report.gamma,
-        "gamma_pct": report.gamma_pct,
-        "vega": report.vega,
-        "vega_per_vol_point": report.vega / 100.0,
-        "theta": report.theta,
-        "theta_daily": report.theta / DAYS_PER_YEAR,
-        "rho": report.rho,
-        "rho_per_rate_point": report.rho / 100.0,
-    }
+    record = {name: getattr(report, name) for name in GREEK_LABELS}
+    for name, (key, _, divisor) in _DISPLAY_SCALES.items():
+        record[key] = record[name] / divisor
+    return record
 
 
 @cli.command("greeks")
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--strategy", required=True, type=click.Choice(STRATEGIES))
+@click.option("--strategy", required=True, type=click.Choice(tuple(STRATEGIES)))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @_map_errors
 def cmd_greeks(config_path: str, strategy: str, out_path: Optional[str]) -> None:
     """Print the seven greeks, raw and display-scaled."""
     scenario = load_config(config_path)
-    report = _greeks_for(scenario, strategy)
-    rows = (
-        ("Delta", report.delta, ""),
-        ("Delta 1%", report.delta_pct, ""),
-        ("Gamma", report.gamma, ""),
-        ("Gamma 1%", report.gamma_pct, ""),
-        ("Vega", report.vega, f"per 1% vol: {_g17(report.vega / 100.0)}"),
-        ("Theta", report.theta, f"per day: {_g17(report.theta / DAYS_PER_YEAR)}"),
-        ("Rho", report.rho, f"per 1% rate: {_g17(report.rho / 100.0)}"),
-    )
+    _, greeks_of, _ = STRATEGIES[strategy]
+    greeks = _greeks_record(greeks_of(scenario))
     click.echo(f"strategy: {strategy}")
-    for label, value, scaled in rows:
-        suffix = f"   ({scaled})" if scaled else ""
-        click.echo(f"{label:<10} {_g17(value)}{suffix}")
+    for name, label in GREEK_LABELS.items():
+        line = f"{label:<10} {_g17(greeks[name])}"
+        if name in _DISPLAY_SCALES:
+            key, text, _ = _DISPLAY_SCALES[name]
+            line += f"   ({text}: {_g17(greeks[key])})"
+        click.echo(line)
     if out_path:
-        record = {"strategy": strategy, "greeks": _greeks_record(report),
-                  "inputs": scenario.to_dict()}
+        record = {"strategy": strategy, "greeks": greeks, "inputs": scenario.to_dict()}
         Path(out_path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
@@ -194,7 +172,7 @@ def cmd_hedge(config_path: str, out_path: Optional[str]) -> None:
     hedged = hedge_report(scenario.lp_state(), scenario.ig_contract(),
                           scenario.market, scenario.spot)
     click.echo(f"{'greek':<10}{'locked_lp':>22}{'ig':>22}{'sum':>22}")
-    for name in ("delta", "delta_pct", "gamma", "gamma_pct", "vega", "theta", "rho"):
+    for name in GREEK_LABELS:
         click.echo(f"{name:<10}{getattr(hedged.lp, name):>22.12g}"
                    f"{getattr(hedged.ig, name):>22.12g}"
                    f"{getattr(hedged.total, name):>22.12g}")
@@ -202,62 +180,42 @@ def cmd_hedge(config_path: str, out_path: Optional[str]) -> None:
     click.echo(f"predicted theta sum: {_g17(hedged.theta_pred)}")
     click.echo(f"predicted rho sum:   {_g17(hedged.rho_pred)}")
     if out_path:
-        record = {
-            "lp": _greeks_record(hedged.lp),
-            "ig": _greeks_record(hedged.ig),
-            "total": _greeks_record(hedged.total),
+        record = {leg: _greeks_record(getattr(hedged, leg)) for leg in ("lp", "ig", "total")}
+        record.update({
             "delta_pred": hedged.delta_pred,
             "theta_pred": hedged.theta_pred,
             "rho_pred": hedged.rho_pred,
             "inputs": scenario.to_dict(),
-        }
+        })
         Path(out_path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _lp_figure(scenario: ScenarioConfig, field: Optional[str]):
-    state = scenario.lp_state()
-    s0 = scenario.position.s0
-    xs = np.linspace(0.1 * s0, 4.0 * s0, _FIGURE_POINTS)
-    price_fn = price_locked_lp if state.locked else price_unlocked_lp
-    greeks_fn = greeks_locked_lp if state.locked else greeks_unlocked_lp
-
-    def value_at(s: float) -> float:
-        at_spot = replace(state, s_t=float(s))
-        if field is None:
-            return price_fn(at_spot)
-        return getattr(greeks_fn(at_spot), field)
-
-    return "s_t", xs, value_at
-
-
-def _ig_figure(scenario: ScenarioConfig, field: Optional[str]):
-    contract = scenario.ig_contract()
-    strike = contract.strike_k
-    xs = np.linspace(0.1 * strike, 4.0 * strike, _FIGURE_POINTS)
-
-    def value_at(s: float) -> float:
-        if field is None:
-            return price_ig(contract, float(s), scenario.market)
-        return getattr(greeks_ig(contract, float(s), scenario.market), field)
-
-    return "s_t", xs, value_at
+def _spot_figure(scenario: ScenarioConfig, prefix: str, field: Optional[str]):
+    """Price (field None) or one greek of the config's LP position (prefix lp)
+    or gain contract (prefix ig) over spots from 0.1 to 4 times its reference
+    price: the entry price or the strike."""
+    if prefix == "lp":
+        strategy = "locked-lp" if scenario.position.locked else "unlocked-lp"
+        ref = scenario.position.s0
+    else:
+        strategy, ref = "ig", scenario.ig_contract().strike_k
+    price, greeks, _ = STRATEGIES[strategy]
+    points = []
+    for x in np.linspace(0.1 * ref, 4.0 * ref, _FIGURE_POINTS).tolist():
+        at_spot = replace(scenario, spot=x)
+        points.append((x, price(at_spot) if field is None else getattr(greeks(at_spot), field)))
+    return "s_t", points
 
 
-def _il_figure(scenario: ScenarioConfig, field: Optional[str]):
-    xs = np.linspace(-1.0, 3.0, _FIGURE_POINTS)
-    return "r", xs, lambda r: impermanent_loss(float(r))
-
-
-_GREEK_FIELDS = {
-    "delta": "delta", "delta-pct": "delta_pct",
-    "gamma": "gamma", "gamma-pct": "gamma_pct",
-    "vega": "vega", "theta": "theta", "rho": "rho",
+# figure id -> builder of (abscissa label, [(x, value)]) from a scenario
+FIGURES: dict[str, Callable] = {
+    "il-curve": lambda scenario: ("r", il_curve(-1.0, 3.0, _FIGURE_POINTS)),
 }
-
-FIGURES: dict[str, tuple[Callable, Optional[str]]] = {"il-curve": (_il_figure, None)}
-for _name, _field in [("price", None)] + list(_GREEK_FIELDS.items()):
-    FIGURES[f"lp-{_name}"] = (_lp_figure, _field)
-    FIGURES[f"ig-{_name}"] = (_ig_figure, _field)
+for _field in (None, *GREEK_LABELS):
+    for _prefix in ("lp", "ig"):
+        _name = "price" if _field is None else _field.replace("_", "-")
+        FIGURES[f"{_prefix}-{_name}"] = functools.partial(_spot_figure, prefix=_prefix,
+                                                          field=_field)
 
 
 @cli.command("figure")
@@ -270,13 +228,10 @@ for _name, _field in [("price", None)] + list(_GREEK_FIELDS.items()):
 def cmd_figure(config_path: str, figure_id: str, out_path: str) -> None:
     """Write one figure as a two-column CSV (abscissa, closed-form value)."""
     scenario = load_config(config_path)
-    builder, field = FIGURES[figure_id]
-    x_label, xs, value_at = builder(scenario, field)
-    lines = [f"{x_label},value"]
-    for x in xs:
-        lines.append(f"{_g17(float(x))},{_g17(value_at(float(x)))}")
+    x_label, points = FIGURES[figure_id](scenario)
+    lines = [f"{x_label},value"] + [f"{_g17(x)},{_g17(y)}" for x, y in points]
     Path(out_path).write_text("\n".join(lines) + "\n")
-    click.echo(f"wrote {figure_id} ({len(xs)} points) to {out_path}")
+    click.echo(f"wrote {figure_id} ({len(points)} points) to {out_path}")
 
 
 @cli.command("verify")

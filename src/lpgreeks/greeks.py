@@ -13,10 +13,23 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .errors import DomainError, HedgeMismatchError, require_positive
+from .errors import DomainError, HedgeMismatchError, require_finite, require_positive
 from .pricing import IgContract, LpState, MarketParams, decay_factors
 
 _CANCEL_TOL = 1e-10
+
+# GreeksReport field -> display label, in the order of its fields, which is the
+# order every listing of the greeks uses: the greeks, table and hedge commands,
+# the figure ids and the fd/* verify rows.
+GREEK_LABELS: dict[str, str] = {
+    "delta": "Delta",
+    "delta_pct": "Delta 1%",
+    "gamma": "Gamma",
+    "gamma_pct": "Gamma 1%",
+    "vega": "Vega",
+    "theta": "Theta",
+    "rho": "Rho",
+}
 
 
 @dataclass(frozen=True)
@@ -35,15 +48,24 @@ class GreeksReport:
     theta: float
     rho: float
 
+    @classmethod
+    def at_spot(cls, s_t: float, delta: float, gamma: float, vega: float,
+                theta: float, rho: float) -> "GreeksReport":
+        """The report of five sensitivities at spot s_t, adding the 1% move
+        columns; DomainError if any value is not finite."""
+        move = s_t / 100.0
+        values = (delta, delta * move, gamma, gamma * move * move, vega, theta, rho)
+        report = cls(*values)
+        if not all(map(math.isfinite, values)):
+            raise DomainError(f"non-finite greeks: {report}")
+        return report
 
-def _report(s_t: float, delta: float, gamma: float, vega: float,
-            theta: float, rho: float) -> GreeksReport:
-    move = s_t / 100.0
-    values = (delta, delta * move, gamma, gamma * move * move, vega, theta, rho)
-    report = GreeksReport(*values)
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"non-finite greeks: {report}")
-    return report
+
+def _spot_range_error(s_t: float, exc: ArithmeticError) -> DomainError:
+    """The error for a spot at which s_t**1.5 overflows (OverflowError) or a
+    delta or gamma denominator underflows to 0 (ZeroDivisionError)."""
+    cause = "overflows" if isinstance(exc, OverflowError) else "underflows to 0"
+    return DomainError(f"s_t**1.5 or a greek denominator {cause} at s_t={s_t!r}")
 
 
 def greeks_unlocked_lp(state: LpState) -> GreeksReport:
@@ -57,14 +79,17 @@ def greeks_unlocked_lp(state: LpState) -> GreeksReport:
     v0 = state.position.notional_v0
     s0 = state.position.entry_price_s0
     s = state.s_t
-    return _report(
-        s,
-        delta=v0 / (2.0 * math.sqrt(s0 * s)),
-        gamma=-v0 / (4.0 * math.sqrt(s0) * s**1.5),
-        vega=0.0,
-        theta=state.market.phi * v0,
-        rho=0.0,
-    )
+    try:
+        return GreeksReport.at_spot(
+            s,
+            delta=v0 / (2.0 * math.sqrt(s0 * s)),
+            gamma=-v0 / (4.0 * math.sqrt(s0) * s**1.5),
+            vega=0.0,
+            theta=state.market.phi * v0,
+            rho=0.0,
+        )
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _spot_range_error(s, exc) from None
 
 
 def greeks_locked_lp(state: LpState) -> GreeksReport:
@@ -85,14 +110,17 @@ def greeks_locked_lp(state: LpState) -> GreeksReport:
     d = decay_factors(m, tau)
     moneyness = math.sqrt(s / s0)
     fee_leg = m.phi * state.maturity_T * d.gamma_disc
-    return _report(
-        s,
-        delta=v0 * d.beta / (2.0 * math.sqrt(s0 * s)),
-        gamma=-v0 * d.beta / (4.0 * math.sqrt(s0) * s**1.5),
-        vega=-v0 * (m.sigma * tau / 4.0) * moneyness * d.beta,
-        theta=v0 * (moneyness * d.carry * d.beta + m.r_f * fee_leg),
-        rho=-v0 * ((tau / 2.0) * moneyness * d.beta + tau * fee_leg),
-    )
+    try:
+        return GreeksReport.at_spot(
+            s,
+            delta=v0 * d.beta / (2.0 * math.sqrt(s0 * s)),
+            gamma=-v0 * d.beta / (4.0 * math.sqrt(s0) * s**1.5),
+            vega=-v0 * (m.sigma * tau / 4.0) * moneyness * d.beta,
+            theta=v0 * (moneyness * d.carry * d.beta + m.r_f * fee_leg),
+            rho=-v0 * ((tau / 2.0) * moneyness * d.beta + tau * fee_leg),
+        )
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _spot_range_error(s, exc) from None
 
 
 def greeks_ig(contract: IgContract, s_t: float, market: MarketParams) -> GreeksReport:
@@ -108,26 +136,21 @@ def greeks_ig(contract: IgContract, s_t: float, market: MarketParams) -> GreeksR
     tau = contract.tau
     d = decay_factors(market, tau)
     moneyness = math.sqrt(s_t / k)
-    return _report(
-        s_t,
-        delta=v0 * (1.0 / (2.0 * k) - d.beta / (2.0 * math.sqrt(k * s_t))),
-        gamma=v0 * d.beta / (4.0 * math.sqrt(k) * s_t**1.5),
-        vega=v0 * (market.sigma * tau / 4.0) * moneyness * d.beta,
-        theta=v0 * (0.5 * market.r_f * d.gamma_disc - moneyness * d.carry * d.beta),
-        rho=(v0 * tau / 2.0) * (moneyness * d.beta - d.gamma_disc),
-    )
+    try:
+        return GreeksReport.at_spot(
+            s_t,
+            delta=v0 * (1.0 / (2.0 * k) - d.beta / (2.0 * math.sqrt(k * s_t))),
+            gamma=v0 * d.beta / (4.0 * math.sqrt(k) * s_t**1.5),
+            vega=v0 * (market.sigma * tau / 4.0) * moneyness * d.beta,
+            theta=v0 * (0.5 * market.r_f * d.gamma_disc - moneyness * d.carry * d.beta),
+            rho=(v0 * tau / 2.0) * (moneyness * d.beta - d.gamma_disc),
+        )
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _spot_range_error(s_t, exc) from None
 
 
 def _sum_reports(a: GreeksReport, b: GreeksReport) -> GreeksReport:
-    return GreeksReport(
-        delta=a.delta + b.delta,
-        delta_pct=a.delta_pct + b.delta_pct,
-        gamma=a.gamma + b.gamma,
-        gamma_pct=a.gamma_pct + b.gamma_pct,
-        vega=a.vega + b.vega,
-        theta=a.theta + b.theta,
-        rho=a.rho + b.rho,
-    )
+    return GreeksReport(*[getattr(a, name) + getattr(b, name) for name in GREEK_LABELS])
 
 
 @dataclass(frozen=True)
@@ -176,11 +199,9 @@ def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) 
     lp_g = greeks_locked_lp(replace(lp, s_t=s_t))
     ig_g = greeks_ig(ig, s_t, market)
     total = _sum_reports(lp_g, ig_g)
-    for name, residual, a, b in (
-        ("gamma", total.gamma, lp_g.gamma, ig_g.gamma),
-        ("vega", total.vega, lp_g.vega, ig_g.vega),
-    ):
-        scale = max(abs(a), abs(b))
+    for name in ("gamma", "vega"):
+        residual = getattr(total, name)
+        scale = max(abs(getattr(lp_g, name)), abs(getattr(ig_g, name)))
         if scale > 0.0 and abs(residual) > _CANCEL_TOL * scale:
             raise ArithmeticError(f"{name} legs failed to cancel: residual {residual!r}")
 
@@ -192,20 +213,9 @@ def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) 
         ig=ig_g,
         total=total,
         delta_pred=v0 / (2.0 * ig.strike_k),
-        theta_pred=v0 * market.r_f * half_plus_fees * d.gamma_disc,
-        rho_pred=-v0 * ig.tau * half_plus_fees * d.gamma_disc,
+        theta_pred=require_finite("theta_pred", v0 * market.r_f * half_plus_fees * d.gamma_disc),
+        rho_pred=require_finite("rho_pred", -v0 * ig.tau * half_plus_fees * d.gamma_disc),
     )
-
-
-_TABLE_ROWS: tuple[tuple[str, str], ...] = (
-    ("delta", "Delta"),
-    ("delta_pct", "Delta 1%"),
-    ("gamma", "Gamma"),
-    ("gamma_pct", "Gamma 1%"),
-    ("vega", "Vega"),
-    ("theta", "Theta"),
-    ("rho", "Rho"),
-)
 
 
 @dataclass(frozen=True)
@@ -220,7 +230,7 @@ class GreeksTable:
     s_t: float
 
     def rows(self) -> Iterator[tuple[str, float, float, float]]:
-        for field_name, label in _TABLE_ROWS:
+        for field_name, label in GREEK_LABELS.items():
             yield (
                 label,
                 getattr(self.unlocked, field_name),

@@ -36,7 +36,9 @@ _CHUNK = 1 << 16
 _LP_FIELDS = ("v0", "entry_price", "horizon")
 # pricer -> scenario fields it needs
 PRICERS = {"unlocked_lp": _LP_FIELDS, "locked_lp": _LP_FIELDS, "ig": ("v0", "strike", "horizon")}
-GREEK_NAMES = ("delta", "gamma", "vega", "theta", "rho")
+# greek -> the argument of fd_greek's value() it bumps
+_BUMPED = {"delta": "s_t", "gamma": "s_t", "vega": "sig", "theta": "clock", "rho": "rate"}
+GREEK_NAMES = tuple(_BUMPED)
 
 _BUMP_MIN = 1e-8
 _BUMP_MAX = 1e-2
@@ -245,17 +247,10 @@ def fd_greek(pricer: str, scenario: McScenario, which: str, bump: float = 1e-5) 
             return lp_premium(v0, scenario.entry_price, s_t, market, tau, fee_years=horizon)
         return ig_premium(v0, scenario.strike, s_t, market, tau)
 
-    if which == "delta":
-        h = bump * max(abs(s), 1.0)
-        return (value(s_t=s + h) - value(s_t=s - h)) / (2.0 * h)
+    arg = _BUMPED[which]
+    x = {"s_t": s, "sig": sigma, "rate": r_f, "clock": t}[arg]
+    h = bump * max(abs(x), 1.0)
+    up, down = value(**{arg: x + h}), value(**{arg: x - h})
     if which == "gamma":
-        h = bump * max(abs(s), 1.0)
-        return (value(s_t=s + h) - 2.0 * value() + value(s_t=s - h)) / (h * h)
-    if which == "vega":
-        h = bump * max(abs(sigma), 1.0)
-        return (value(sig=sigma + h) - value(sig=sigma - h)) / (2.0 * h)
-    if which == "theta":
-        h = bump * max(abs(t), 1.0)
-        return (value(clock=t + h) - value(clock=t - h)) / (2.0 * h)
-    h = bump * max(abs(r_f), 1.0)
-    return (value(rate=r_f + h) - value(rate=r_f - h)) / (2.0 * h)
+        return (up - 2.0 * value() + down) / (h * h)
+    return (up - down) / (2.0 * h)

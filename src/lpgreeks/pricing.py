@@ -116,8 +116,12 @@ def decay_factors(market: MarketParams, tau: float) -> DecayFactors:
     carry = 0.5 * r_f + market.sigma * market.sigma / 8.0
     if tau == 0.0:  # exactly 1 even where sigma^2 overflows (inf * 0 is nan)
         return DecayFactors(beta=1.0, gamma_disc=1.0, carry=carry)
-    return DecayFactors(beta=math.exp(-carry * tau), gamma_disc=math.exp(-r_f * tau),
-                        carry=carry)
+    try:
+        return DecayFactors(beta=math.exp(-carry * tau), gamma_disc=math.exp(-r_f * tau),
+                            carry=carry)
+    except OverflowError:
+        raise DomainError(f"decay factors exp(-carry*tau), exp(-r_f*tau) overflow at "
+                          f"r_f={r_f!r}, sigma={market.sigma!r}, tau={tau!r}") from None
 
 
 def expected_sqrt_price(s_t: float, market: MarketParams, tau: float) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError, require_non_negative, require_positive
-from .pricing import IgContract, MarketParams
+from .pricing import IgContract, MarketParams, decay_factors, forward_price
 
 _TEST_RATIOS = (0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0)
 _N_START = 64
@@ -179,8 +179,8 @@ def _black_values(strikes, s_t: float, market: MarketParams, tau: float,
     the forward.
     """
     strikes = np.asarray(strikes, dtype=float)
-    forward = s_t * math.exp(market.r_f * tau)
-    disc = math.exp(-market.r_f * tau)
+    forward = forward_price(s_t, market, tau)
+    disc = decay_factors(market, tau).gamma_disc
     vol = market.sigma * math.sqrt(tau)
     if vol == 0.0:
         intrinsic = np.maximum(forward - strikes, 0.0) if is_call \
@@ -233,8 +233,8 @@ def _tail_remainder(grid: StrikeGrid, s_t: float, market: MarketParams, tau: flo
     Call side mirrors with disc * F * N(d1(cut)) and density mass
     1/(2*sqrt(cut*s0)).
     """
-    forward = s_t * math.exp(market.r_f * tau)
-    disc = math.exp(-market.r_f * tau)
+    forward = forward_price(s_t, market, tau)
+    disc = decay_factors(market, tau).gamma_disc
     vol = market.sigma * math.sqrt(tau)
     s0 = grid.entry_price
     if vol == 0.0:

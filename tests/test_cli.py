@@ -366,3 +366,55 @@ class TestVerifyCommand:
         path = write_config(tmp_path, data)
         result = runner.invoke(cli, ["verify", "--config", str(path)])
         assert result.exit_code == 2
+
+
+class TestFloatRangeErrors:
+    """Schema-valid inputs whose formulas leave the float range exit 3 with a
+    message naming the input, not 1 (the verification-failure code)."""
+
+    @pytest.mark.parametrize("args, locked", [
+        (["greeks", "--strategy", "unlocked-lp"], False),
+        (["greeks", "--strategy", "locked-lp"], True),
+        (["greeks", "--strategy", "ig"], True),
+        (["hedge"], True),
+        (["table"], True),
+    ])
+    def test_tiny_spot_is_domain_error(self, runner, tmp_path, args, locked):
+        # s_t**1.5 underflows to 0 at s_t = 1e-300, zeroing the gamma denominator
+        data = {
+            "market": {"r_f": 0.03, "sigma": 0.7, "phi": 0.1},
+            "position": {"v0": 10000, "s0": 1000, "t": 0.25, "T": 0.5, "locked": locked},
+            "spot": 1e-300,
+            "ig": {"k": 1000, "T": 0.5},
+        }
+        path = write_config(tmp_path, data)
+        result = runner.invoke(cli, args + ["--config", str(path)])
+        assert result.exit_code == 3
+        assert "domain error: " in result.output
+        assert "s_t=1e-300" in result.output
+
+    def test_decay_overflow_names_rate_and_time(self, runner, tmp_path):
+        data = {
+            "market": {"r_f": -200, "sigma": 0.7, "phi": 0.1},
+            "position": {"v0": 10000, "s0": 1000, "t": 0, "T": 5, "locked": True},
+            "spot": 1000,
+            "ig": {"k": 1000, "T": 5},
+        }
+        path = write_config(tmp_path, data)
+        result = runner.invoke(cli, ["price", "--config", str(path), "--strategy", "ig"])
+        assert result.exit_code == 3
+        assert "decay factors" in result.output
+        assert "r_f=-200.0" in result.output and "tau=5.0" in result.output
+
+    def test_spot_overflow_names_s_t(self, runner, tmp_path):
+        data = {
+            "market": {"r_f": 0.03, "sigma": 0.7, "phi": 0.1},
+            "position": {"v0": 10000, "s0": 1000, "t": 0.25, "T": 0.5, "locked": True},
+            "spot": 1e300,
+        }
+        path = write_config(tmp_path, data)
+        result = runner.invoke(cli, ["greeks", "--config", str(path),
+                                     "--strategy", "locked-lp"])
+        assert result.exit_code == 3
+        assert "domain error: " in result.output
+        assert "s_t**1.5" in result.output and "s_t=1e+300" in result.output

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,6 +20,7 @@ from lpgreeks import (
     pool_from_deposit,
     price_locked_lp,
 )
+from lpgreeks.greeks import GREEK_LABELS, GreeksReport
 
 POOL = pool_from_deposit(10000.0, 1000.0)
 
@@ -333,3 +334,8 @@ class TestGreeksTable:
             greeks_table(unlocked, locked, ig, other, 1000.0)
         with pytest.raises(DomainError):
             greeks_table(locked, locked, ig, half_year_market, 1000.0)
+
+
+def test_greek_labels_follow_report_fields():
+    # _sum_reports and GreeksReport.at_spot build reports positionally in this order
+    assert tuple(GREEK_LABELS) == tuple(f.name for f in fields(GreeksReport))

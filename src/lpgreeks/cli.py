@@ -239,20 +239,18 @@ def cmd_figure(config_path: str, figure_id: str, out_path: str) -> None:
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write the report CSV to this path.")
-@click.option("--seed", type=int, default=None, help="Override mc.seed.")
-@click.option("--paths", type=int, default=None, help="Override mc.n_paths.")
+@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
+              help="Override mc.seed.")
+@click.option("--paths", type=click.IntRange(min=1), default=None, help="Override mc.n_paths.")
 @_map_errors
 def cmd_verify(config_path: str, out_path: Optional[str],
                seed: Optional[int], paths: Optional[int]) -> None:
     """Run the full oracle suite; exit 1 if any check fails."""
     scenario = load_config(config_path)
-    if scenario.mc is not None and (seed is not None or paths is not None):
-        mc = scenario.mc
-        if seed is not None:
-            mc = replace(mc, seed=seed)
-        if paths is not None:
-            mc = replace(mc, n_paths=paths)
-        scenario = replace(scenario, mc=mc)
+    overrides = {key: value for key, value in (("seed", seed), ("n_paths", paths))
+                 if value is not None}
+    if scenario.mc is not None and overrides:
+        scenario = replace(scenario, mc=replace(scenario.mc, **overrides))
     results = run_verification(scenario)
     for row in results:
         status = "PASS" if row.passed else "FAIL"

@@ -3,15 +3,16 @@
 A scenario file is a single JSON object with sections market, position, spot and
 the optional ig, mc and quadrature blocks. Rates, vols and fee yields are
 decimals per year; times are year fractions, or days via a *_days key (divided
-by 365). The shipped JSON Schema (schema/scenario.schema.json) documents the
-layout; loading re-validates every domain constraint of the underlying types.
+by 365). LAYOUT declares the layout once, and a test pins it to the shipped JSON
+Schema (schema/scenario.schema.json); loading re-validates every domain
+constraint of the underlying types.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Optional
 
@@ -22,12 +23,23 @@ from .pricing import IgContract, LpState, MarketParams
 
 DAYS_PER_YEAR = 365.0
 
-_SECTIONS = {"market", "position", "spot", "ig", "mc", "quadrature"}
-_MARKET_KEYS = {"r_x", "r_y", "r_f", "sigma", "phi"}
-_POSITION_KEYS = {"v0", "s0", "t", "t_days", "T", "T_days", "locked"}
-_IG_KEYS = {"k", "T", "T_days"}
-_MC_KEYS = {"n_paths", "seed", "antithetic", "workers"}
-_QUAD_KEYS = {"target_tol"}
+# section -> ({field: JSON type}, required fields), in the schema's order;
+# "<root>" lists the sections, and each "object" field has an entry of its own.
+LAYOUT: dict[str, tuple[dict[str, str], tuple[str, ...]]] = {
+    "<root>": ({"market": "object", "position": "object", "spot": "number",
+                "ig": "object", "mc": "object", "quadrature": "object"},
+               ("market", "position", "spot")),
+    "market": ({"r_x": "number", "r_y": "number", "r_f": "number", "sigma": "number",
+                "phi": "number"}, ("sigma", "phi")),
+    "position": ({"v0": "number", "s0": "number", "t": "number", "t_days": "number",
+                  "T": "number", "T_days": "number", "locked": "boolean"}, ("v0", "s0")),
+    "ig": ({"k": "number", "T": "number", "T_days": "number"}, ("k",)),
+    "mc": ({"n_paths": "integer", "seed": "integer", "antithetic": "boolean",
+            "workers": "integer"}, ("n_paths",)),
+    "quadrature": ({"target_tol": "number"}, ("target_tol",)),
+}
+# JSON type -> Python types it admits; a bool is a JSON boolean, never a number
+_PY_TYPES = {"number": (int, float), "integer": int, "boolean": bool}
 
 
 @dataclass(frozen=True)
@@ -79,12 +91,7 @@ class ScenarioConfig:
     def to_dict(self) -> dict[str, Any]:
         """Canonical form: rates as the (r_x, r_y) pair, all times in years."""
         out: dict[str, Any] = {
-            "market": {
-                "r_x": self.market.r_x,
-                "r_y": self.market.r_y,
-                "sigma": self.market.sigma,
-                "phi": self.market.phi,
-            },
+            "market": asdict(self.market),
             "position": {
                 "v0": self.position.v0,
                 "s0": self.position.s0,
@@ -97,103 +104,71 @@ class ScenarioConfig:
         if self.ig is not None:
             out["ig"] = {"k": self.ig.strike, "T": self.ig.maturity}
         if self.mc is not None:
-            out["mc"] = {
-                "n_paths": self.mc.n_paths,
-                "seed": self.mc.seed,
-                "antithetic": self.mc.antithetic,
-                "workers": self.mc.workers,
-            }
+            out["mc"] = asdict(self.mc)
         if self.quad_tol is not None:
             out["quadrature"] = {"target_tol": self.quad_tol}
         return out
 
 
-def _expect_object(value: Any, path: str) -> dict:
+def _section(value: Any, name: str) -> dict[str, Any]:
+    """Check a section against its LAYOUT entry and return its values as typed:
+    numbers as floats, nested sections checked in turn."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
-
-
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+        raise ConfigError(f"{name}: expected an object, got {type(value).__name__}")
+    fields, required = LAYOUT[name]
+    unknown = sorted(set(value) - set(fields))
     if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {', '.join(unknown)}")
+        raise ConfigError(f"{name}: unknown field(s) {', '.join(unknown)}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{key}: required section is missing" if name == "<root>"
+                              else f"{name}.{key}: required field is missing")
+    return {key: _section(item, key) if fields[key] == "object"
+            else _typed(item, fields[key], f"{name}.{key}") for key, item in value.items()}
 
 
-def _number(obj: dict, key: str, path: str) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+def _typed(value: Any, kind: str, path: str) -> Any:
+    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _PY_TYPES[kind]):
+        raise ConfigError(f"{path}: expected {'an' if kind == 'integer' else 'a'} {kind}, "
+                          f"got {value!r}")
+    if kind != "number":
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: integer is too large for a float") from None
 
 
-def _integer(obj: dict, key: str, path: str) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _boolean(obj: dict, key: str, path: str) -> bool:
-    value = obj[key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a boolean, got {value!r}")
-    return value
-
-
-def _time_field(obj: dict, key: str, path: str, default: Optional[float] = None) -> float:
-    """Read a year-fraction field, accepting the <key>_days variant instead."""
+def _years(fields: dict, key: str, path: str, default: Optional[float] = None) -> float:
+    """A year-fraction field, or its <key>_days variant divided by DAYS_PER_YEAR."""
     days_key = f"{key}_days"
-    if key in obj and days_key in obj:
+    if key in fields and days_key in fields:
         raise ConfigError(f"{path}: give {key} or {days_key}, not both")
-    if key in obj:
-        return _number(obj, key, path)
-    if days_key in obj:
-        return _number(obj, days_key, path) / DAYS_PER_YEAR
-    if default is None:
+    if days_key in fields:
+        return fields[days_key] / DAYS_PER_YEAR
+    if key not in fields and default is None:
         raise ConfigError(f"{path}.{key}: required field is missing")
-    return default
+    return fields.get(key, default)
 
 
-def _parse_market(obj: Any) -> MarketParams:
-    market = _expect_object(obj, "market")
-    _reject_unknown(market, _MARKET_KEYS, "market")
+def _parse_market(market: dict) -> MarketParams:
     has_pair = "r_x" in market or "r_y" in market
-    has_diff = "r_f" in market
-    if has_pair == has_diff:
+    if has_pair == ("r_f" in market):
         raise ConfigError("market: give exactly one of (r_x, r_y) or r_f")
     if has_pair and not ("r_x" in market and "r_y" in market):
         raise ConfigError("market: r_x and r_y must be given together")
-    for key in ("sigma", "phi"):
-        if key not in market:
-            raise ConfigError(f"market.{key}: required field is missing")
-    sigma = _number(market, "sigma", "market")
-    phi = _number(market, "phi", "market")
     try:
-        if has_diff:
-            return MarketParams.from_rate_differential(
-                _number(market, "r_f", "market"), sigma, phi)
-        return MarketParams(
-            r_x=_number(market, "r_x", "market"),
-            r_y=_number(market, "r_y", "market"),
-            sigma=sigma,
-            phi=phi,
-        )
+        if has_pair:
+            return MarketParams(**market)
+        return MarketParams.from_rate_differential(**market)
     except DomainError as exc:
         raise ConfigError(f"market: {exc}") from exc
 
 
-def _parse_position(obj: Any) -> PositionConfig:
-    position = _expect_object(obj, "position")
-    _reject_unknown(position, _POSITION_KEYS, "position")
-    for key in ("v0", "s0"):
-        if key not in position:
-            raise ConfigError(f"position.{key}: required field is missing")
-    v0 = _number(position, "v0", "position")
-    s0 = _number(position, "s0", "position")
-    t = _time_field(position, "t", "position", default=0.0)
-    locked = _boolean(position, "locked", "position") if "locked" in position else False
-    maturity = _time_field(position, "T", "position", default=t)
+def _parse_position(position: dict) -> PositionConfig:
+    v0, s0 = position["v0"], position["s0"]
+    t = _years(position, "t", "position", default=0.0)
+    maturity = _years(position, "T", "position", default=t)
     for name, value in (("position.v0", v0), ("position.s0", s0)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{name}: must be a positive finite number")
@@ -201,16 +176,13 @@ def _parse_position(obj: Any) -> PositionConfig:
         raise ConfigError("position.t: must be >= 0")
     if not (math.isfinite(maturity) and maturity >= t):
         raise ConfigError("position.T: must be >= position.t")
-    return PositionConfig(v0=v0, s0=s0, t=t, maturity=maturity, locked=locked)
+    return PositionConfig(v0=v0, s0=s0, t=t, maturity=maturity,
+                          locked=position.get("locked", False))
 
 
-def _parse_ig(obj: Any, t: float) -> IgTerms:
-    ig = _expect_object(obj, "ig")
-    _reject_unknown(ig, _IG_KEYS, "ig")
-    if "k" not in ig:
-        raise ConfigError("ig.k: required field is missing")
-    strike = _number(ig, "k", "ig")
-    maturity = _time_field(ig, "T", "ig")
+def _parse_ig(ig: dict, t: float) -> IgTerms:
+    strike = ig["k"]
+    maturity = _years(ig, "T", "ig")
     if not (math.isfinite(strike) and strike > 0.0):
         raise ConfigError("ig.k: must be a positive finite number")
     if not (math.isfinite(maturity) and maturity >= t):
@@ -218,42 +190,25 @@ def _parse_ig(obj: Any, t: float) -> IgTerms:
     return IgTerms(strike=strike, maturity=maturity)
 
 
-def _parse_mc(obj: Any) -> McConfig:
-    mc = _expect_object(obj, "mc")
-    _reject_unknown(mc, _MC_KEYS, "mc")
-    if "n_paths" not in mc:
-        raise ConfigError("mc.n_paths: required field is missing")
+def _parse_mc(mc: dict) -> McConfig:
     try:
-        return McConfig(
-            n_paths=_integer(mc, "n_paths", "mc"),
-            seed=_integer(mc, "seed", "mc") if "seed" in mc else 0,
-            antithetic=_boolean(mc, "antithetic", "mc") if "antithetic" in mc else False,
-            workers=_integer(mc, "workers", "mc") if "workers" in mc else 1,
-        )
+        return McConfig(**mc)
     except DomainError as exc:
         raise ConfigError(f"mc: {exc}") from exc
 
 
-def _parse_quadrature(obj: Any) -> float:
-    quad = _expect_object(obj, "quadrature")
-    _reject_unknown(quad, _QUAD_KEYS, "quadrature")
-    if "target_tol" not in quad:
-        raise ConfigError("quadrature.target_tol: required field is missing")
-    tol = _number(quad, "target_tol", "quadrature")
+def _parse_quadrature(quad: dict) -> float:
+    tol = quad["target_tol"]
     if not (math.isfinite(tol) and 0.0 < tol <= 1e-2):
         raise ConfigError("quadrature.target_tol: must lie in (0, 1e-2]")
     return tol
 
 
 def scenario_from_dict(data: Any) -> ScenarioConfig:
-    root = _expect_object(data, "<root>")
-    _reject_unknown(root, _SECTIONS, "<root>")
-    for key in ("market", "position", "spot"):
-        if key not in root:
-            raise ConfigError(f"{key}: required section is missing")
+    root = _section(data, "<root>")
     market = _parse_market(root["market"])
     position = _parse_position(root["position"])
-    spot = _number(root, "spot", "<root>")
+    spot = root["spot"]
     if not (math.isfinite(spot) and spot > 0.0):
         raise ConfigError("spot: must be a positive finite number")
     scenario = ScenarioConfig(
@@ -279,6 +234,8 @@ def loads_config(text: str) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's int-string digit limit
+        raise ConfigError(f"invalid JSON: {exc}") from exc
     return scenario_from_dict(data)
 
 
@@ -294,6 +251,3 @@ def load_config(path) -> ScenarioConfig:
 def dumps_config(scenario: ScenarioConfig) -> str:
     return json.dumps(scenario.to_dict(), indent=2, sort_keys=True) + "\n"
 
-
-def dump_config(scenario: ScenarioConfig, path) -> None:
-    Path(path).write_text(dumps_config(scenario))

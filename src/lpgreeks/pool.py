@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, require_non_negative, require_positive
+from .pricing import MarketParams, lp_premium
 
 _REL_TOL = 1e-12
 
@@ -96,10 +97,12 @@ def reserves_at_price(pos: PoolPosition, s_t: float) -> Reserves:
 
 
 def lp_value(pos: PoolPosition, s_t: float, t: float, fees: FeeParams) -> float:
-    """Redeemable value of the LP position: V0 * (sqrt(s_t/s0) + phi*t)."""
+    """Redeemable value of the LP position, V0 * (sqrt(s_t/s0) + phi*t): the
+    lp_premium with no time left to unlock."""
     require_positive("s_t", s_t)
     require_non_negative("t", t)
-    return pos.notional_v0 * (math.sqrt(s_t / pos.entry_price_s0) + fees.phi * t)
+    return lp_premium(pos.notional_v0, pos.entry_price_s0, s_t,
+                      MarketParams.from_rate_differential(0.0, 0.0, fees.phi), 0.0, t)
 
 
 def hodl_value(pos: PoolPosition, s_t: float) -> float:

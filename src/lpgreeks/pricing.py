@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, require_finite, require_non_negative, require_positive
-from .pool import PoolPosition
+
+if TYPE_CHECKING:  # pool imports this module to value a position
+    from .pool import PoolPosition
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,11 @@ class DecayFactors:
     carry: float
 
 
+def _overflow(formula: str, market: MarketParams, tau: float) -> DomainError:
+    return DomainError(f"{formula} overflow at r_f={market.r_f!r}, "
+                       f"sigma={market.sigma!r}, tau={tau!r}")
+
+
 def decay_factors(market: MarketParams, tau: float) -> DecayFactors:
     """Evaluate both decay factors over a remaining time tau."""
     require_non_negative("tau", tau)
@@ -120,8 +128,7 @@ def decay_factors(market: MarketParams, tau: float) -> DecayFactors:
         return DecayFactors(beta=math.exp(-carry * tau), gamma_disc=math.exp(-r_f * tau),
                             carry=carry)
     except OverflowError:
-        raise DomainError(f"decay factors exp(-carry*tau), exp(-r_f*tau) overflow at "
-                          f"r_f={r_f!r}, sigma={market.sigma!r}, tau={tau!r}") from None
+        raise _overflow("decay factors exp(-carry*tau), exp(-r_f*tau)", market, tau) from None
 
 
 def expected_sqrt_price(s_t: float, market: MarketParams, tau: float) -> float:
@@ -129,14 +136,20 @@ def expected_sqrt_price(s_t: float, market: MarketParams, tau: float) -> float:
     require_positive("s_t", s_t)
     require_non_negative("tau", tau)
     exponent = (0.5 * market.r_f - market.sigma * market.sigma / 8.0) * tau
-    return math.sqrt(s_t) * math.exp(exponent)
+    try:
+        return math.sqrt(s_t) * math.exp(exponent)
+    except OverflowError:
+        raise _overflow("sqrt moment exp((r_f/2 - sigma^2/8)*tau)", market, tau) from None
 
 
 def forward_price(s_t: float, market: MarketParams, tau: float) -> float:
     """Risk-neutral mean of S_T: s_t * exp(r_f * tau)."""
     require_positive("s_t", s_t)
     require_non_negative("tau", tau)
-    return s_t * math.exp(market.r_f * tau)
+    try:
+        return s_t * math.exp(market.r_f * tau)
+    except OverflowError:
+        raise _overflow("forward exp(r_f*tau)", market, tau) from None
 
 
 def lp_premium(v0: float, s0: float, s_t: float, market: MarketParams,

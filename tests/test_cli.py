@@ -114,6 +114,27 @@ class TestPriceCommand:
                                      "--strategy", "locked-lp"])
         assert result.exit_code == 2
 
+    def test_huge_integer_is_config_error(self, runner, tmp_path):
+        # 10**400 is a valid JSON number but no float; the message names the
+        # field without echoing its 401 digits
+        data = json.loads(HALF_YEAR_CONFIG.read_text())
+        data["position"]["v0"] = 10**400
+        path = write_config(tmp_path, data)
+        result = runner.invoke(cli, ["price", "--config", str(path),
+                                     "--strategy", "locked-lp"])
+        assert result.exit_code == 2
+        assert "config error: position.v0:" in result.output
+        assert "0" * 400 not in result.output
+
+    def test_integer_past_digit_limit_is_config_error(self, runner, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text(HALF_YEAR_CONFIG.read_text().replace('"v0": 10000',
+                                                             '"v0": 1' + "0" * 5000))
+        result = runner.invoke(cli, ["price", "--config", str(path),
+                                     "--strategy", "locked-lp"])
+        assert result.exit_code == 2
+        assert "config error: invalid JSON" in result.output
+
     def test_missing_config_exits_2(self, runner):
         result = runner.invoke(cli, ["price", "--config", "/nonexistent.json",
                                      "--strategy", "ig"])
@@ -359,6 +380,15 @@ class TestVerifyCommand:
                                    "--out", str(out_c)]).exit_code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         assert out_a.read_bytes() != out_c.read_bytes()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--paths", "0"), ("--paths", "-5"), ("--seed", "-1"), ("--seed", str(2**64)),
+    ])
+    def test_out_of_range_override_is_usage_error(self, runner, tmp_path, option, value):
+        path = self._config(tmp_path)
+        result = runner.invoke(cli, ["verify", "--config", str(path), option, value])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
 
     def test_missing_mc_block_exits_2(self, runner, tmp_path):
         data = json.loads(HALF_YEAR_CONFIG.read_text())

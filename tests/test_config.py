@@ -5,12 +5,16 @@ import pytest
 
 from lpgreeks import ConfigError
 from lpgreeks.config import (
+    LAYOUT,
     ScenarioConfig,
     dumps_config,
     load_config,
     loads_config,
     scenario_from_dict,
 )
+
+SCHEMA = json.loads((Path(__file__).resolve().parents[1]
+                     / "src" / "lpgreeks" / "schema" / "scenario.schema.json").read_text())
 
 FULL = {
     "market": {"r_x": 0.05, "r_y": 0.02, "sigma": 0.7, "phi": 0.1},
@@ -137,3 +141,12 @@ def test_shipped_configs_parse_and_validate_against_schema():
         scenario = load_config(path)
         assert isinstance(scenario, ScenarioConfig)
         jsonschema.validate(scenario.to_dict(), schema)
+
+
+@pytest.mark.parametrize("section", ["<root>"] + [
+    key for key, prop in SCHEMA["properties"].items() if prop["type"] == "object"])
+def test_layout_matches_shipped_schema(section):
+    node = SCHEMA if section == "<root>" else SCHEMA["properties"][section]
+    fields, required = LAYOUT[section]
+    assert {key: prop["type"] for key, prop in node["properties"].items()} == fields
+    assert list(required) == node["required"]

@@ -111,6 +111,14 @@ class TestMoments:
     def test_forward_zero_tau(self, half_year_market):
         assert forward_price(1000.0, half_year_market, 0.0) == 1000.0
 
+    @pytest.mark.parametrize("moment", [forward_price, expected_sqrt_price])
+    def test_overflow_names_rate_vol_and_time(self, moment):
+        # exp(r_f * tau) = exp(1e6) is past the float range
+        m = MarketParams.from_rate_differential(1e3, 0.7, 0.0)
+        with pytest.raises(DomainError) as excinfo:
+            moment(1000.0, m, 1e3)
+        assert "overflow at r_f=1000.0, sigma=0.7, tau=1000.0" in str(excinfo.value)
+
     @given(m=markets, s_t=st.floats(1e-3, 1e6), tau=st.floats(0.0, 2.0))
     def test_discounted_forward_is_martingale(self, m, s_t, tau):
         d = decay_factors(m, tau)

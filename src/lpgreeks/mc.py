@@ -5,7 +5,9 @@ estimates carry statistical error only, never discretization bias. Draws are
 tied to path indices rather than workers: the uniform for path i is element i
 of a single Philox stream, normals come from the inverse CDF of that uniform,
 and per-chunk partial sums combine in a fixed pairwise order. Together these
-make every estimate bit-identical for any worker count.
+make every estimate bit-identical for any worker count. mc_price also takes
+sequences of payoffs and scenarios and prices them all from one pass over the
+stream (common random numbers), each estimate keeping its one-job bits.
 
 The terminal payoffs live in one table, PAYOFFS, typed out here on purpose:
 they are the independent reference the closed forms in pricing.py are
@@ -21,7 +23,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.random import Philox
@@ -143,19 +146,23 @@ def _stream_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return (raw >> np.uint64(11)) * (2.0 ** -53)
 
 
-def _chunk_stats(payoff: str, scn: McScenario, cfg: McConfig,
-                 start: int, stop: int) -> np.ndarray:
-    u = _stream_uniforms(cfg.seed, start, stop - start)
-    z = ndtri(u)
-    value = PAYOFFS[payoff][2]
+def _chunk_stats(laws: dict, n_jobs: int, cfg: McConfig, span: tuple[int, int]) -> np.ndarray:
+    """(sum, sumsq) of every job's values over stream elements [start, stop), one
+    row per job. The chunk's normals are drawn once, and each terminal law's
+    prices (and their mirror, with antithetic on) are built once for its jobs."""
+    start, stop = span
+    z = ndtri(_stream_uniforms(cfg.seed, start, stop - start))
+    out = np.empty((n_jobs, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        values = value(scn, sample_terminal(scn.s_t, scn.market, scn.tau, z))
-        if cfg.antithetic:
-            mirrored = value(scn, sample_terminal(scn.s_t, scn.market, scn.tau, -z))
-            values = 0.5 * (values + mirrored)
-    if not np.isfinite(values).all():
-        raise DomainError(f"payoff {payoff!r} evaluated to non-finite values")
-    return np.array([values.sum(), np.square(values).sum()])
+        for (s_t, market, tau), jobs in laws.items():
+            terminal = sample_terminal(s_t, market, tau, z)
+            mirrored = sample_terminal(s_t, market, tau, -z) if cfg.antithetic else None
+            for j, value, scn in jobs:
+                values = value(scn, terminal)
+                if mirrored is not None:
+                    values = 0.5 * (values + value(scn, mirrored))
+                out[j] = values.sum(), np.square(values).sum()
+    return out
 
 
 def _pairwise_total(rows: list[np.ndarray]) -> np.ndarray:
@@ -167,7 +174,8 @@ def _pairwise_total(rows: list[np.ndarray]) -> np.ndarray:
     return rows[0]
 
 
-def mc_price(payoff: str, scenario: McScenario, cfg: McConfig) -> McEstimate:
+def mc_price(payoff: str | Sequence[str], scenario: McScenario | Sequence[McScenario],
+             cfg: McConfig) -> McEstimate | tuple[McEstimate, ...]:
     """Monte Carlo estimate of a payoff's price, or of a raw terminal moment.
 
     locked_lp, ig and the vanillas are discounted at exp(-r_f * tau);
@@ -175,34 +183,46 @@ def mc_price(payoff: str, scenario: McScenario, cfg: McConfig) -> McEstimate:
     directly comparable with expected_sqrt_price and forward_price. With
     antithetic on, each path index is paired with its mirrored draw and the
     pair average feeds the variance, doubling the effective draw count.
+
+    A payoff name and one McScenario give one McEstimate; equal-length sequences
+    give a tuple in job order, with each terminal law (s_t, market, tau) sampled
+    once per chunk. Jobs are checked before any draw; a sum or sum of squares
+    that is not finite raises DomainError.
     """
-    if payoff not in PAYOFFS:
-        raise DomainError(f"unknown payoff {payoff!r}; expected one of {tuple(PAYOFFS)}")
-    fields, discounted, _ = PAYOFFS[payoff]
-    _require_fields(f"payoff {payoff!r}", fields, scenario)
+    single = isinstance(payoff, str)
+    payoffs, scenarios = ((payoff,), (scenario,)) if single else (tuple(payoff), tuple(scenario))
+    if not payoffs or len(payoffs) != len(scenarios):
+        raise DomainError(f"need as many payoffs as scenarios, and at least one; "
+                          f"got {len(payoffs)} and {len(scenarios)}")
+    laws: dict = {}  # (s_t, market, tau) -> [(job index, value at S_T, scenario)]
+    for j, (name, scn) in enumerate(zip(payoffs, scenarios)):
+        if name not in PAYOFFS:
+            raise DomainError(f"unknown payoff {name!r}; expected one of {tuple(PAYOFFS)}")
+        fields, _, value = PAYOFFS[name]
+        _require_fields(f"payoff {name!r}", fields, scn)
+        laws.setdefault((scn.s_t, scn.market, scn.tau), []).append((j, value, scn))
     n = cfg.n_paths
     spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
+    stats = partial(_chunk_stats, laws, len(payoffs), cfg)
     if cfg.workers == 1 or len(spans) == 1:
-        rows = [_chunk_stats(payoff, scenario, cfg, a, b) for a, b in spans]
+        rows = list(map(stats, spans))
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(
-                lambda span: _chunk_stats(payoff, scenario, cfg, span[0], span[1]),
-                spans,
-            ))
-    total = _pairwise_total(rows)
-    mean = total[0] / n
-    var = max((total[1] - n * mean * mean) / (n - 1), 0.0) if n > 1 else 0.0
-    std_error = math.sqrt(var / n)
-    if discounted:
-        discount = decay_factors(scenario.market, scenario.tau).gamma_disc
-        mean *= discount
-        std_error *= discount
-    return McEstimate(
-        mean=float(mean),
-        std_error=float(std_error),
-        n_effective=2 * n if cfg.antithetic else n,
-    )
+            rows = list(pool.map(stats, spans))
+    estimates = []
+    for name, scn, (total, total_sq) in zip(payoffs, scenarios, _pairwise_total(rows)):
+        if not (math.isfinite(total) and math.isfinite(total_sq)):
+            raise DomainError(f"payoff {name!r}: sum or sum of squares over {n} paths overflowed")
+        mean = total / n
+        var = max((total_sq - n * mean * mean) / (n - 1), 0.0) if n > 1 else 0.0
+        std_error = math.sqrt(var / n)
+        if PAYOFFS[name][1]:  # discounted
+            discount = decay_factors(scn.market, scn.tau).gamma_disc
+            mean *= discount
+            std_error *= discount
+        estimates.append(McEstimate(float(mean), float(std_error),
+                                    n_effective=2 * n if cfg.antithetic else n))
+    return estimates[0] if single else tuple(estimates)
 
 
 def fd_greek(pricer: str, scenario: McScenario, which: str, bump: float = 1e-5) -> float:

@@ -124,9 +124,11 @@ def decay_factors(market: MarketParams, tau: float) -> DecayFactors:
     carry = 0.5 * r_f + market.sigma * market.sigma / 8.0
     if tau == 0.0:  # exactly 1 even where sigma^2 overflows (inf * 0 is nan)
         return DecayFactors(beta=1.0, gamma_disc=1.0, carry=carry)
+    beta_exp, disc_exp = -carry * tau, -r_f * tau
     try:
-        return DecayFactors(beta=math.exp(-carry * tau), gamma_disc=math.exp(-r_f * tau),
-                            carry=carry)
+        if beta_exp == math.inf or disc_exp == math.inf:
+            raise OverflowError  # math.exp(inf) returns inf instead of raising
+        return DecayFactors(beta=math.exp(beta_exp), gamma_disc=math.exp(disc_exp), carry=carry)
     except OverflowError:
         raise _overflow("decay factors exp(-carry*tau), exp(-r_f*tau)", market, tau) from None
 
@@ -135,8 +137,12 @@ def expected_sqrt_price(s_t: float, market: MarketParams, tau: float) -> float:
     """Risk-neutral mean of sqrt(S_T): sqrt(s_t) * exp((r_f/2 - sigma^2/8) * tau)."""
     require_positive("s_t", s_t)
     require_non_negative("tau", tau)
+    if tau == 0.0:  # as in decay_factors: an overflowing sigma^2 times 0 is nan
+        return math.sqrt(s_t)
     exponent = (0.5 * market.r_f - market.sigma * market.sigma / 8.0) * tau
     try:
+        if exponent == math.inf:
+            raise OverflowError  # math.exp(inf) returns inf instead of raising
         return math.sqrt(s_t) * math.exp(exponent)
     except OverflowError:
         raise _overflow("sqrt moment exp((r_f/2 - sigma^2/8)*tau)", market, tau) from None
@@ -146,8 +152,11 @@ def forward_price(s_t: float, market: MarketParams, tau: float) -> float:
     """Risk-neutral mean of S_T: s_t * exp(r_f * tau)."""
     require_positive("s_t", s_t)
     require_non_negative("tau", tau)
+    exponent = market.r_f * tau
     try:
-        return s_t * math.exp(market.r_f * tau)
+        if exponent == math.inf:
+            raise OverflowError  # math.exp(inf) returns inf instead of raising
+        return s_t * math.exp(exponent)
     except OverflowError:
         raise _overflow("forward exp(r_f*tau)", market, tau) from None
 

@@ -111,43 +111,39 @@ def run_verification(scenario: ScenarioConfig) -> list[CheckResult]:
     market = scenario.market
     state = scenario.lp_state()
     contract = scenario.ig_contract()
-    results: list[CheckResult] = []
-
-    # Terminal-moment identities on the fixed parameter box.
-    for sigma, r_f, tau in MOMENT_SETS:
-        set_market = replace(market, r_x=r_f, r_y=0.0, sigma=sigma)
-        moment_scn = McScenario(market=set_market, s_t=scenario.spot, tau=tau)
-        label = f"sigma={sigma:g},r_f={r_f:g},tau={tau:g}"
-        est = mc_price("sqrt_moment", moment_scn, cfg)
-        results.append(_mc_check(
-            f"moment/sqrt[{label}]",
-            expected_sqrt_price(scenario.spot, set_market, tau), est.mean, est.std_error))
-        est = mc_price("forward", moment_scn, cfg)
-        results.append(_mc_check(
-            f"moment/forward[{label}]",
-            forward_price(scenario.spot, set_market, tau), est.mean, est.std_error))
-
-    # Discounted payoffs of the scenario itself.
     lp_scn = McScenario(
         market=market, s_t=scenario.spot, tau=state.tau,
         v0=state.position.notional_v0, entry_price=state.position.entry_price_s0,
         horizon=state.maturity_T,
     )
-    est = mc_price("locked_lp", lp_scn, cfg)
-    results.append(_mc_check("price/locked_lp", price_locked_lp(state), est.mean, est.std_error))
-
     ig_scn = McScenario(
         market=market, s_t=scenario.spot, tau=contract.tau,
         v0=contract.notional_v0, strike=contract.strike_k, horizon=contract.maturity_T,
     )
-    est = mc_price("ig", ig_scn, cfg)
-    results.append(_mc_check("price/ig", price_ig(contract, scenario.spot, market),
-                             est.mean, est.std_error))
+    ig_closed = price_ig(contract, scenario.spot, market)
 
+    # Monte Carlo rows as (name, closed form, payoff, scenario): the
+    # terminal-moment identities on the fixed parameter box, then the
+    # discounted payoffs of the scenario itself. One mc_price call prices them
+    # all from one pass over the stream.
+    mc_rows = []
+    for sigma, r_f, tau in MOMENT_SETS:
+        set_market = replace(market, r_x=r_f, r_y=0.0, sigma=sigma)
+        moment_scn = McScenario(market=set_market, s_t=scenario.spot, tau=tau)
+        label = f"sigma={sigma:g},r_f={r_f:g},tau={tau:g}"
+        mc_rows.append((f"moment/sqrt[{label}]",
+                        expected_sqrt_price(scenario.spot, set_market, tau), "sqrt_moment",
+                        moment_scn))
+        mc_rows.append((f"moment/forward[{label}]",
+                        forward_price(scenario.spot, set_market, tau), "forward", moment_scn))
+    mc_rows.append(("price/locked_lp", price_locked_lp(state), "locked_lp", lp_scn))
+    mc_rows.append(("price/ig", ig_closed, "ig", ig_scn))
     for kind in ("call", "put"):
         quote = vanilla_price(contract.strike_k, scenario.spot, market, contract.tau, kind)
-        est = mc_price(f"vanilla_{kind}", ig_scn, cfg)
-        results.append(_mc_check(f"price/vanilla_{kind}", quote.premium, est.mean, est.std_error))
+        mc_rows.append((f"price/vanilla_{kind}", quote.premium, f"vanilla_{kind}", ig_scn))
+    names, closed_forms, payoffs, scenarios = zip(*mc_rows)
+    results = [_mc_check(name, closed, est.mean, est.std_error) for name, closed, est
+               in zip(names, closed_forms, mc_price(payoffs, scenarios, cfg))]
 
     # Finite differences against each closed-form greek.
     unlocked_state = replace(state, locked=False)
@@ -160,7 +156,7 @@ def run_verification(scenario: ScenarioConfig) -> list[CheckResult]:
                              target_tol=scenario.quad_tol or 1e-5)
     results.append(_tol_check(
         "strip/ig",
-        price_ig(contract, scenario.spot, market),
+        ig_closed,
         price_ig_via_strip(contract, scenario.spot, market, grid),
         STRIP_REL_TOL,
     ))

@@ -436,6 +436,31 @@ class TestFloatRangeErrors:
         assert "decay factors" in result.output
         assert "r_f=-200.0" in result.output and "tau=5.0" in result.output
 
+    def test_infinite_decay_exponent_names_rate_and_time(self, runner, tmp_path):
+        # -r_f * tau = 1e310 is inf before exp; the premium used to come out nan
+        data = json.loads(HALF_YEAR_CONFIG.read_text())
+        data["market"]["r_f"] = -1e300
+        data["position"]["T"] = data["ig"]["T"] = 1e10
+        path = write_config(tmp_path, data)
+        for strategy in ("ig", "locked-lp"):
+            result = runner.invoke(cli, ["price", "--config", str(path), "--strategy", strategy])
+            assert result.exit_code == 3
+            assert "decay factors" in result.output
+            assert "r_f=-1e+300" in result.output and "tau=" in result.output
+
+    def test_overflowing_mc_sum_of_squares_is_domain_error(self, runner, tmp_path):
+        # a 5e203 payoff squares past the float range; the row used to pass
+        # with a nan standard error
+        data = json.loads(HALF_YEAR_CONFIG.read_text())
+        data["market"]["phi"] = 1e200
+        path = write_config(tmp_path, data)
+        out = tmp_path / "report.csv"
+        result = runner.invoke(cli, ["verify", "--config", str(path), "--paths", "20000",
+                                     "--out", str(out)])
+        assert result.exit_code == 3
+        assert "domain error: " in result.output and "'locked_lp'" in result.output
+        assert not out.exists()
+
     def test_spot_overflow_names_s_t(self, runner, tmp_path):
         data = {
             "market": {"r_f": 0.03, "sigma": 0.7, "phi": 0.1},

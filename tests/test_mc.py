@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +24,15 @@ from lpgreeks import (
     price_unlocked_lp,
     sample_terminal,
 )
+import lpgreeks.mc as mc_module
+import lpgreeks.verify as verify_module
+from lpgreeks.config import load_config
 from lpgreeks.mc import _stream_uniforms
 
 POOL = pool_from_deposit(10000.0, 1000.0)
 WEEK_TAU = 7.0 / 365.0
 MEDIAN_PATH = 782.70453824186816771  # 1000 * exp(-0.7^2/2)
+HEDGE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hedged-one-year.json"
 
 
 def week_ig_scenario(s_t=1000.0, phi=0.0):
@@ -268,3 +273,113 @@ class TestFdGreek:
             fd_greek("locked_lp", scn, "delta", 0.5)
         with pytest.raises(DomainError):
             fd_greek("locked_lp", scn, "vanna")
+
+
+# Three terminal laws (the first shared by two scenarios) and a zero-vol one.
+_LAW_MARKETS = (
+    MarketParams.from_rate_differential(0.03, 0.7, 0.1),
+    MarketParams.from_rate_differential(-0.05, 0.2, 0.0),
+    MarketParams.from_rate_differential(0.1, 1.5, 0.3),
+    MarketParams.from_rate_differential(0.02, 0.0, 0.0),
+)
+BATCH_SCENARIOS = (
+    McScenario(market=_LAW_MARKETS[0], s_t=1000.0, tau=0.25, v0=1e4, entry_price=900.0,
+               strike=1100.0, horizon=0.5),
+    McScenario(market=_LAW_MARKETS[1], s_t=800.0, tau=1.0, v0=5e3, entry_price=1000.0,
+               strike=750.0, horizon=1.0),
+    McScenario(market=_LAW_MARKETS[0], s_t=1000.0, tau=0.25, v0=2e4, entry_price=1000.0,
+               strike=1000.0, horizon=0.25),
+    McScenario(market=_LAW_MARKETS[2], s_t=1200.0, tau=2.0, v0=1e4, entry_price=1200.0,
+               strike=1300.0, horizon=3.0),
+    McScenario(market=_LAW_MARKETS[3], s_t=1000.0, tau=0.5, v0=1e4, entry_price=1000.0,
+               strike=1000.0, horizon=0.5),
+)
+PAYOFF_NAMES = ("locked_lp", "ig", "sqrt_moment", "forward", "vanilla_call", "vanilla_put")
+
+
+def _bits(est):
+    return est.mean.hex(), est.std_error.hex(), est.n_effective
+
+
+@pytest.fixture
+def philox_words(monkeypatch):
+    """Counts the Philox words lpgreeks.mc draws, in a one-element list."""
+    drawn = [0]
+
+    class CountingPhilox(mc_module.Philox):
+        def random_raw(self, size=None, output=True):
+            drawn[0] += 1 if size is None else int(size)
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(mc_module, "Philox", CountingPhilox)
+    return drawn
+
+
+class TestBatch:
+    @pytest.mark.parametrize("n_paths", [1, 65536, 2 * 65536 + 5])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_equals_single_calls_bit_for_bit(self, n_paths, antithetic, workers):
+        cfg = McConfig(n_paths=n_paths, seed=17, antithetic=antithetic, workers=workers)
+        # job order interleaves the laws, so grouping must put each row back
+        jobs = [(name, scn) for scn in BATCH_SCENARIOS for name in PAYOFF_NAMES]
+        jobs = jobs[1::2] + jobs[::2]
+        payoffs, scenarios = zip(*jobs)
+        batch = mc_price(payoffs, scenarios, cfg)
+        assert isinstance(batch, tuple) and len(batch) == len(jobs)
+        assert [_bits(est) for est in batch] == [
+            _bits(mc_price(name, scn, cfg)) for name, scn in jobs]
+
+    def test_one_job_sequence_gives_one_tuple(self):
+        cfg = McConfig(n_paths=1000, seed=3)
+        scn = week_ig_scenario()
+        assert mc_price(["ig"], [scn], cfg) == (mc_price("ig", scn, cfg),)
+
+    def test_batch_draws_the_stream_once(self, philox_words):
+        cfg = McConfig(n_paths=2 * 65536 + 5, seed=5, antithetic=True)
+        payoffs = PAYOFF_NAMES * len(BATCH_SCENARIOS)
+        scenarios = [scn for scn in BATCH_SCENARIOS for _ in PAYOFF_NAMES]
+        mc_price(payoffs, scenarios, cfg)
+        assert philox_words[0] == cfg.n_paths
+
+    @pytest.mark.parametrize("payoffs, scenarios, message", [
+        (["ig", "nonsense"], BATCH_SCENARIOS[:2], "unknown payoff 'nonsense'"),
+        (["ig", "locked_lp"], [BATCH_SCENARIOS[0],
+                               McScenario(market=_LAW_MARKETS[0], s_t=1000.0, tau=0.5)],
+         "needs scenario field 'v0'"),
+        (["ig", "forward"], BATCH_SCENARIOS[:1], "as many payoffs as scenarios"),
+        ([], [], "at least one"),
+    ])
+    def test_bad_jobs_rejected_before_any_draw(self, philox_words, payoffs, scenarios, message):
+        with pytest.raises(DomainError, match=message):
+            mc_price(payoffs, scenarios, McConfig(n_paths=10**5, seed=1))
+        assert philox_words[0] == 0
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_overflowing_sum_of_squares_is_domain_error(self, antithetic):
+        # values near 5e203 are finite, but their squares are not
+        market = MarketParams.from_rate_differential(0.03, 0.7, 1e200)
+        lp = McScenario(market=market, s_t=1000.0, tau=0.25, v0=1e4, entry_price=1000.0,
+                        horizon=0.5)
+        cfg = McConfig(n_paths=20000, seed=42, antithetic=antithetic)
+        with pytest.raises(DomainError, match="'locked_lp'"):
+            mc_price("locked_lp", lp, cfg)
+        with pytest.raises(DomainError, match="'locked_lp'"):
+            mc_price(["forward", "locked_lp"], [lp, lp], cfg)
+        assert math.isfinite(mc_price("forward", lp, cfg).std_error)
+
+    def test_verify_prices_every_mc_row_in_one_pass(self, philox_words, monkeypatch):
+        # the benchmark's tracer wraps lpgreeks.verify.mc_price by that name
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return mc_price(*args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "mc_price", counted)
+        scenario = load_config(HEDGE_CONFIG)
+        scenario = replace(scenario, mc=replace(scenario.mc, n_paths=200000))
+        results = verify_module.run_verification(scenario)
+        assert len(calls) == 1
+        assert philox_words[0] == 200000
+        assert sum(row.name.startswith(("moment/", "price/")) for row in results) == 14

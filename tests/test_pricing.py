@@ -78,6 +78,14 @@ class TestDecayFactors:
         with pytest.raises(DomainError):
             decay_factors(half_year_market, -0.1)
 
+    def test_infinite_exponent_is_domain_error(self):
+        # -r_f * tau = 1e310 is inf before exp, and math.exp(inf) returns inf
+        m = MarketParams.from_rate_differential(-1e300, 0.5, 0.0)
+        with pytest.raises(DomainError) as excinfo:
+            decay_factors(m, 1e10)
+        assert "decay factors" in str(excinfo.value)
+        assert "overflow at r_f=-1e+300, sigma=0.5, tau=10000000000.0" in str(excinfo.value)
+
     @given(m=markets, tau=st.floats(0.0, 2.0))
     def test_positive_and_bounded(self, m, tau):
         d = decay_factors(m, tau)
@@ -118,6 +126,24 @@ class TestMoments:
         with pytest.raises(DomainError) as excinfo:
             moment(1000.0, m, 1e3)
         assert "overflow at r_f=1000.0, sigma=0.7, tau=1000.0" in str(excinfo.value)
+
+    @pytest.mark.parametrize("moment", [forward_price, expected_sqrt_price])
+    def test_infinite_exponent_is_domain_error(self, moment):
+        # r_f * tau = 1e310 is inf before exp, and math.exp(inf) returns inf
+        m = MarketParams.from_rate_differential(1e300, 0.5, 0.0)
+        with pytest.raises(DomainError) as excinfo:
+            moment(1000.0, m, 1e10)
+        assert "overflow at r_f=1e+300, sigma=0.5, tau=10000000000.0" in str(excinfo.value)
+
+    def test_sqrt_moment_at_zero_tau_ignores_an_overflowing_vol(self):
+        # sigma^2 = inf, and (r_f/2 - inf) * 0 would make the exponent nan
+        m = MarketParams.from_rate_differential(0.03, 1e200, 0.0)
+        assert expected_sqrt_price(1000.0, m, 0.0) == math.sqrt(1000.0)
+
+    def test_sqrt_moment_at_zero_tau_keeps_its_bits(self, half_year_market):
+        # the old route, sqrt(s_t) * exp(exponent * 0), gives the same float
+        for s_t in (1e-300, 0.37, 1000.0, 7.5e299):
+            assert expected_sqrt_price(s_t, half_year_market, 0.0) == math.sqrt(s_t) * 1.0
 
     @given(m=markets, s_t=st.floats(1e-3, 1e6), tau=st.floats(0.0, 2.0))
     def test_discounted_forward_is_martingale(self, m, s_t, tau):

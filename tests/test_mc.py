@@ -294,7 +294,7 @@ BATCH_SCENARIOS = (
     McScenario(market=_LAW_MARKETS[3], s_t=1000.0, tau=0.5, v0=1e4, entry_price=1000.0,
                strike=1000.0, horizon=0.5),
 )
-PAYOFF_NAMES = ("locked_lp", "ig", "sqrt_moment", "forward", "vanilla_call", "vanilla_put")
+PAYOFF_NAMES = tuple(mc_module.PAYOFFS)
 
 
 def _bits(est):

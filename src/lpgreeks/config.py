@@ -3,15 +3,18 @@
 A scenario file is a single JSON object with sections market, position, spot and
 the optional ig, mc and quadrature blocks. Rates, vols and fee yields are
 decimals per year; times are year fractions, or days via a *_days key (divided
-by 365). LAYOUT declares the layout once, and a test pins it to the shipped JSON
-Schema (schema/scenario.schema.json); loading re-validates every domain
-constraint of the underlying types.
+by 365). The shipped JSON Schema (schema/scenario.schema.json) is the layout:
+each section's fields, types, required keys and per-field bounds are read from
+it, and every error names the field's path. The cross-field rules are in code,
+and loading re-validates every domain constraint of the underlying types.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -23,23 +26,11 @@ from .pricing import IgContract, LpState, MarketParams
 
 DAYS_PER_YEAR = 365.0
 
-# section -> ({field: JSON type}, required fields), in the schema's order;
-# "<root>" lists the sections, and each "object" field has an entry of its own.
-LAYOUT: dict[str, tuple[dict[str, str], tuple[str, ...]]] = {
-    "<root>": ({"market": "object", "position": "object", "spot": "number",
-                "ig": "object", "mc": "object", "quadrature": "object"},
-               ("market", "position", "spot")),
-    "market": ({"r_x": "number", "r_y": "number", "r_f": "number", "sigma": "number",
-                "phi": "number"}, ("sigma", "phi")),
-    "position": ({"v0": "number", "s0": "number", "t": "number", "t_days": "number",
-                  "T": "number", "T_days": "number", "locked": "boolean"}, ("v0", "s0")),
-    "ig": ({"k": "number", "T": "number", "T_days": "number"}, ("k",)),
-    "mc": ({"n_paths": "integer", "seed": "integer", "antithetic": "boolean",
-            "workers": "integer"}, ("n_paths",)),
-    "quadrature": ({"target_tol": "number"}, ("target_tol",)),
-}
 # JSON type -> Python types it admits; a bool is a JSON boolean, never a number
 _PY_TYPES = {"number": (int, float), "integer": int, "boolean": bool}
+# schema bound keyword -> (test the value must pass against the bound, its symbol)
+_BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"),
+           "maximum": (operator.le, "<=")}
 
 
 @dataclass(frozen=True)
@@ -110,33 +101,47 @@ class ScenarioConfig:
         return out
 
 
-def _section(value: Any, name: str) -> dict[str, Any]:
-    """Check a section against its LAYOUT entry and return its values as typed:
-    numbers as floats, nested sections checked in turn."""
+@functools.cache
+def _schema() -> dict[str, Any]:
+    """The shipped scenario schema, read once, on first use."""
+    return json.loads((Path(__file__).parent / "schema" / "scenario.schema.json").read_text())
+
+
+def _section(value: Any, node: dict, path: str = "") -> dict[str, Any]:
+    """Check a section against its schema node and return its values as typed:
+    numbers as floats, nested sections checked in turn. path is "" at the root."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{name}: expected an object, got {type(value).__name__}")
-    fields, required = LAYOUT[name]
+        raise ConfigError(f"{path or 'scenario'}: expected an object, "
+                          f"got {type(value).__name__}")
+    fields = node["properties"]
     unknown = sorted(set(value) - set(fields))
     if unknown:
-        raise ConfigError(f"{name}: unknown field(s) {', '.join(unknown)}")
-    for key in required:
+        raise ConfigError(f"{path or 'scenario'}: unknown field(s) {', '.join(unknown)}")
+    for key in node["required"]:
         if key not in value:
-            raise ConfigError(f"{key}: required section is missing" if name == "<root>"
-                              else f"{name}.{key}: required field is missing")
-    return {key: _section(item, key) if fields[key] == "object"
-            else _typed(item, fields[key], f"{name}.{key}") for key, item in value.items()}
+            raise ConfigError(f"{key}: required section is missing" if not path
+                              else f"{path}.{key}: required field is missing")
+    return {key: (_section if fields[key]["type"] == "object" else _typed)(
+                item, fields[key], f"{path}.{key}" if path else key)
+            for key, item in value.items()}
 
 
-def _typed(value: Any, kind: str, path: str) -> Any:
+def _typed(value: Any, field: dict, path: str) -> Any:
+    kind = field["type"]
     if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _PY_TYPES[kind]):
         raise ConfigError(f"{path}: expected {'an' if kind == 'integer' else 'a'} {kind}, "
                           f"got {value!r}")
-    if kind != "number":
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{path}: integer is too large for a float") from None
+    if kind == "number":
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: integer is too large for a float") from None
+        if not math.isfinite(value):  # json.loads accepts NaN and Infinity literals
+            raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+    for keyword, (holds, symbol) in _BOUNDS.items():
+        if keyword in field and not holds(value, field[keyword]):
+            raise ConfigError(f"{path}: must be {symbol} {field[keyword]}, got {value!r}")
+    return value
 
 
 def _years(fields: dict, key: str, path: str, default: Optional[float] = None) -> float:
@@ -166,28 +171,19 @@ def _parse_market(market: dict) -> MarketParams:
 
 
 def _parse_position(position: dict) -> PositionConfig:
-    v0, s0 = position["v0"], position["s0"]
     t = _years(position, "t", "position", default=0.0)
     maturity = _years(position, "T", "position", default=t)
-    for name, value in (("position.v0", v0), ("position.s0", s0)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{name}: must be a positive finite number")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ConfigError("position.t: must be >= 0")
-    if not (math.isfinite(maturity) and maturity >= t):
+    if maturity < t:
         raise ConfigError("position.T: must be >= position.t")
-    return PositionConfig(v0=v0, s0=s0, t=t, maturity=maturity,
+    return PositionConfig(v0=position["v0"], s0=position["s0"], t=t, maturity=maturity,
                           locked=position.get("locked", False))
 
 
 def _parse_ig(ig: dict, t: float) -> IgTerms:
-    strike = ig["k"]
     maturity = _years(ig, "T", "ig")
-    if not (math.isfinite(strike) and strike > 0.0):
-        raise ConfigError("ig.k: must be a positive finite number")
-    if not (math.isfinite(maturity) and maturity >= t):
+    if maturity < t:
         raise ConfigError("ig.T: must be >= position.t")
-    return IgTerms(strike=strike, maturity=maturity)
+    return IgTerms(strike=ig["k"], maturity=maturity)
 
 
 def _parse_mc(mc: dict) -> McConfig:
@@ -197,27 +193,17 @@ def _parse_mc(mc: dict) -> McConfig:
         raise ConfigError(f"mc: {exc}") from exc
 
 
-def _parse_quadrature(quad: dict) -> float:
-    tol = quad["target_tol"]
-    if not (math.isfinite(tol) and 0.0 < tol <= 1e-2):
-        raise ConfigError("quadrature.target_tol: must lie in (0, 1e-2]")
-    return tol
-
-
 def scenario_from_dict(data: Any) -> ScenarioConfig:
-    root = _section(data, "<root>")
+    root = _section(data, _schema())
     market = _parse_market(root["market"])
     position = _parse_position(root["position"])
-    spot = root["spot"]
-    if not (math.isfinite(spot) and spot > 0.0):
-        raise ConfigError("spot: must be a positive finite number")
     scenario = ScenarioConfig(
         market=market,
         position=position,
-        spot=spot,
+        spot=root["spot"],
         ig=_parse_ig(root["ig"], position.t) if "ig" in root else None,
         mc=_parse_mc(root["mc"]) if "mc" in root else None,
-        quad_tol=_parse_quadrature(root["quadrature"]) if "quadrature" in root else None,
+        quad_tol=root["quadrature"]["target_tol"] if "quadrature" in root else None,
     )
     try:
         scenario.lp_state()

@@ -68,6 +68,13 @@ def _spot_range_error(s_t: float, exc: ArithmeticError) -> DomainError:
     return DomainError(f"s_t**1.5 or a greek denominator {cause} at s_t={s_t!r}")
 
 
+def _sqrt_product(a: float, b: float) -> float:
+    """sqrt(a*b), or sqrt(a)*sqrt(b) where a*b overflows; every finite
+    sqrt(a*b) keeps its bits."""
+    root = math.sqrt(a * b)
+    return root if root != math.inf else math.sqrt(a) * math.sqrt(b)
+
+
 def greeks_unlocked_lp(state: LpState) -> GreeksReport:
     """Greeks of a redeemable position.
 
@@ -82,7 +89,7 @@ def greeks_unlocked_lp(state: LpState) -> GreeksReport:
     try:
         return GreeksReport.at_spot(
             s,
-            delta=v0 / (2.0 * math.sqrt(s0 * s)),
+            delta=v0 / (2.0 * _sqrt_product(s0, s)),
             gamma=-v0 / (4.0 * math.sqrt(s0) * s**1.5),
             vega=0.0,
             theta=state.market.phi * v0,
@@ -113,7 +120,7 @@ def greeks_locked_lp(state: LpState) -> GreeksReport:
     try:
         return GreeksReport.at_spot(
             s,
-            delta=v0 * d.beta / (2.0 * math.sqrt(s0 * s)),
+            delta=v0 * d.beta / (2.0 * _sqrt_product(s0, s)),
             gamma=-v0 * d.beta / (4.0 * math.sqrt(s0) * s**1.5),
             vega=-v0 * (m.sigma * tau / 4.0) * moneyness * d.beta,
             theta=v0 * (moneyness * d.carry * d.beta + m.r_f * fee_leg),
@@ -139,7 +146,7 @@ def greeks_ig(contract: IgContract, s_t: float, market: MarketParams) -> GreeksR
     try:
         return GreeksReport.at_spot(
             s_t,
-            delta=v0 * (1.0 / (2.0 * k) - d.beta / (2.0 * math.sqrt(k * s_t))),
+            delta=v0 * (1.0 / (2.0 * k) - d.beta / (2.0 * _sqrt_product(k, s_t))),
             gamma=v0 * d.beta / (4.0 * math.sqrt(k) * s_t**1.5),
             vega=v0 * (market.sigma * tau / 4.0) * moneyness * d.beta,
             theta=v0 * (0.5 * market.r_f * d.gamma_disc - moneyness * d.carry * d.beta),

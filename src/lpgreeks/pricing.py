@@ -141,9 +141,10 @@ def expected_sqrt_price(s_t: float, market: MarketParams, tau: float) -> float:
         return math.sqrt(s_t)
     exponent = (0.5 * market.r_f - market.sigma * market.sigma / 8.0) * tau
     try:
-        if exponent == math.inf:
-            raise OverflowError  # math.exp(inf) returns inf instead of raising
-        return math.sqrt(s_t) * math.exp(exponent)
+        moment = math.sqrt(s_t) * math.exp(exponent)
+        if moment == math.inf:
+            raise OverflowError  # math.exp(inf), or the product, is inf without raising
+        return moment
     except OverflowError:
         raise _overflow("sqrt moment exp((r_f/2 - sigma^2/8)*tau)", market, tau) from None
 
@@ -152,11 +153,11 @@ def forward_price(s_t: float, market: MarketParams, tau: float) -> float:
     """Risk-neutral mean of S_T: s_t * exp(r_f * tau)."""
     require_positive("s_t", s_t)
     require_non_negative("tau", tau)
-    exponent = market.r_f * tau
     try:
-        if exponent == math.inf:
-            raise OverflowError  # math.exp(inf) returns inf instead of raising
-        return s_t * math.exp(exponent)
+        forward = s_t * math.exp(market.r_f * tau)
+        if forward == math.inf:
+            raise OverflowError  # math.exp(inf), or the product, is inf without raising
+        return forward
     except OverflowError:
         raise _overflow("forward exp(r_f*tau)", market, tau) from None
 

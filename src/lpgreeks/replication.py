@@ -112,8 +112,9 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
     per-side node count doubles until the halving difference of the
     reconstructed shortfall, maximized over five terminal test prices spanning
     [0.1*s0, 10*s0], falls below target_tol; that conservative difference is
-    reported as error_estimate. Passing n_side pins the node count instead and
-    still reports the halving difference.
+    reported as error_estimate; a DomainError names sigma, tau and target_tol
+    when 2**21 nodes per side do not suffice. Passing n_side pins the node
+    count instead and still reports the halving difference.
     """
     require_positive("s0", s0)
     require_non_negative("sigma", sigma)
@@ -146,8 +147,9 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
             if err <= target_tol:
                 break
             if chosen >= _N_CAP:
-                raise ArithmeticError(
-                    f"grid reached {chosen} nodes per side without meeting {target_tol!r}")
+                raise DomainError(
+                    f"strike grid reached {chosen} nodes per side without meeting "
+                    f"target_tol={target_tol!r} at sigma={sigma!r}, tau={tau!r}")
 
     put_k, put_w, call_k, call_w = parts
     return StrikeGrid(

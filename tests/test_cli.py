@@ -135,6 +135,16 @@ class TestPriceCommand:
         assert result.exit_code == 2
         assert "config error: invalid JSON" in result.output
 
+    def test_type_error_names_the_root_field(self, runner, tmp_path):
+        data = json.loads(HALF_YEAR_CONFIG.read_text())
+        data["spot"] = "x"
+        path = write_config(tmp_path, data)
+        result = runner.invoke(cli, ["price", "--config", str(path),
+                                     "--strategy", "locked-lp"])
+        assert result.exit_code == 2
+        assert result.output.startswith("config error: spot: ")
+        assert "<root>" not in result.output
+
     def test_missing_config_exits_2(self, runner):
         result = runner.invoke(cli, ["price", "--config", "/nonexistent.json",
                                      "--strategy", "ig"])
@@ -389,6 +399,20 @@ class TestVerifyCommand:
         result = runner.invoke(cli, ["verify", "--config", str(path), option, value])
         assert result.exit_code == 2
         assert f"Invalid value for '{option}'" in result.output
+
+    def test_strip_grid_cap_is_domain_error(self, runner, tmp_path):
+        # no grid up to 2**21 nodes per side meets 1e-12; that is a limit of
+        # the quadrature, not a failed verification
+        data = json.loads(HALF_YEAR_CONFIG.read_text())
+        data["quadrature"]["target_tol"] = 1e-12
+        data["mc"]["n_paths"] = 2000
+        path = write_config(tmp_path, data)
+        out = tmp_path / "report.csv"
+        result = runner.invoke(cli, ["verify", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 3
+        assert result.output.startswith("domain error: strike grid reached 2097152 nodes")
+        assert "target_tol=1e-12 at sigma=0.7, tau=0.25" in result.output
+        assert not out.exists()
 
     def test_missing_mc_block_exits_2(self, runner, tmp_path):
         data = json.loads(HALF_YEAR_CONFIG.read_text())

@@ -1,11 +1,12 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from lpgreeks import ConfigError
 from lpgreeks.config import (
-    LAYOUT,
     ScenarioConfig,
     dumps_config,
     load_config,
@@ -143,10 +144,81 @@ def test_shipped_configs_parse_and_validate_against_schema():
         jsonschema.validate(scenario.to_dict(), schema)
 
 
-@pytest.mark.parametrize("section", ["<root>"] + [
-    key for key, prop in SCHEMA["properties"].items() if prop["type"] == "object"])
-def test_layout_matches_shipped_schema(section):
-    node = SCHEMA if section == "<root>" else SCHEMA["properties"][section]
-    fields, required = LAYOUT[section]
-    assert {key: prop["type"] for key, prop in node["properties"].items()} == fields
-    assert list(required) == node["required"]
+def _fields(node=SCHEMA, path=""):
+    """(path, schema node) of every non-object field in the schema."""
+    for key, prop in node["properties"].items():
+        field_path = f"{path}.{key}" if path else key
+        if prop["type"] == "object":
+            yield from _fields(prop, field_path)
+        else:
+            yield field_path, prop
+
+
+def _with_field(path, value):
+    """FULL with the field at path set to value, dropping any key it may not
+    appear with (r_x/r_y for r_f, t for t_days, T for T_days)."""
+    data = copy.deepcopy(FULL)
+    *sections, key = path.split(".")
+    target = data[sections[0]] if sections else data
+    if key == "r_f":
+        del target["r_x"], target["r_y"]
+    elif key.endswith("_days"):
+        target.pop(key.removesuffix("_days"), None)
+    target[key] = value
+    return data
+
+
+# schema bound keyword -> (direction of the values past it, its symbol)
+BOUND_KEYWORDS = {"minimum": (-math.inf, ">="), "exclusiveMinimum": (None, ">"),
+                  "maximum": (math.inf, "<=")}
+# (path, bound keyword, value just past the bound, the bound when it is inclusive)
+BOUND_CASES = []
+for _path, _prop in _fields():
+    for _keyword, (_direction, _) in BOUND_KEYWORDS.items():
+        if _keyword not in _prop:
+            continue
+        _bound = _prop[_keyword]
+        if _direction is None:  # exclusive: the bound itself is past it
+            _past, _inclusive = _bound, None
+        elif _prop["type"] == "integer":
+            _past, _inclusive = _bound + (1 if _direction > 0 else -1), _bound
+        else:
+            _past, _inclusive = math.nextafter(_bound, _direction), _bound
+        BOUND_CASES.append(pytest.param(_path, _keyword, _past, _inclusive,
+                                        id=f"{_path}-{_keyword}"))
+NUMBER_FIELDS = [path for path, prop in _fields() if prop["type"] == "number"]
+
+
+def test_every_bounded_field_has_a_case():
+    assert len(BOUND_CASES) == 14
+    assert {case.values[0] for case in BOUND_CASES} >= {
+        "market.sigma", "position.v0", "spot", "ig.k", "mc.seed", "quadrature.target_tol"}
+
+
+@pytest.mark.parametrize("path,keyword,past,inclusive", BOUND_CASES)
+def test_schema_bounds_name_the_field(path, keyword, past, inclusive):
+    prop = dict(_fields())[path]
+    typed = float(past) if prop["type"] == "number" else past
+    with pytest.raises(ConfigError) as excinfo:
+        scenario_from_dict(_with_field(path, past))
+    symbol = BOUND_KEYWORDS[keyword][1]
+    assert str(excinfo.value) == f"{path}: must be {symbol} {prop[keyword]}, got {typed!r}"
+    if inclusive is not None:
+        scenario_from_dict(_with_field(path, inclusive))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("path", NUMBER_FIELDS)
+def test_non_finite_literal_names_the_field(path, literal):
+    text = json.dumps(_with_field(path, float(literal.replace("Infinity", "inf"))))
+    assert literal in text
+    with pytest.raises(ConfigError) as excinfo:
+        loads_config(text)
+    assert str(excinfo.value).startswith(f"{path}: must be a finite number")
+
+
+@pytest.mark.parametrize("path", [path for path, _ in _fields()])
+def test_type_errors_name_the_field(path):
+    with pytest.raises(ConfigError) as excinfo:
+        scenario_from_dict(_with_field(path, "x"))
+    assert str(excinfo.value).startswith(f"{path}: expected ")

@@ -339,3 +339,25 @@ class TestGreeksTable:
 def test_greek_labels_follow_report_fields():
     # _sum_reports and GreeksReport.at_spot build reports positionally in this order
     assert tuple(GREEK_LABELS) == tuple(f.name for f in fields(GreeksReport))
+
+
+@pytest.mark.parametrize("strategy", ["unlocked-lp", "locked-lp", "ig"])
+def test_delta_survives_an_overflowing_root_product(strategy, half_year_market):
+    # s0 * s_t = 1e310 overflows to inf, which used to make delta 0 (IG: the
+    # wrong sign); sqrt(s0) * sqrt(s_t) = 1e155 is representable
+    v0, s0, s_t = 10000.0, 1e300, 1e10
+    root = math.sqrt(s0) * math.sqrt(s_t)
+    if strategy == "ig":
+        contract = IgContract(notional_v0=v0, strike_k=s0, maturity_T=0.5, t=0.25)
+        beta = decay_factors(half_year_market, contract.tau).beta
+        delta = greeks_ig(contract, s_t, half_year_market).delta
+        assert delta == v0 * (1.0 / (2.0 * s0) - beta / (2.0 * root))
+        assert delta < 0.0
+        return
+    locked = strategy == "locked-lp"
+    state = LpState(position=pool_from_deposit(v0, s0), market=half_year_market,
+                    s_t=s_t, t=0.25, maturity_T=0.5, locked=locked)
+    report = (greeks_locked_lp if locked else greeks_unlocked_lp)(state)
+    beta = decay_factors(half_year_market, state.tau).beta if locked else 1.0
+    assert report.delta == v0 * beta / (2.0 * root)
+    assert report.delta > 0.0

@@ -135,6 +135,15 @@ class TestMoments:
             moment(1000.0, m, 1e10)
         assert "overflow at r_f=1e+300, sigma=0.5, tau=10000000000.0" in str(excinfo.value)
 
+    @pytest.mark.parametrize("moment, r_f, tau", [
+        (forward_price, 1.0, 100.0), (expected_sqrt_price, 5.0, 280.0)])
+    def test_product_overflow_names_rate_vol_and_time(self, moment, r_f, tau):
+        # exp of the exponent is finite, but its product with s_t = 1e300 is not
+        m = MarketParams.from_rate_differential(r_f, 0.5, 0.0)
+        with pytest.raises(DomainError) as excinfo:
+            moment(1e300, m, tau)
+        assert f"overflow at r_f={r_f!r}, sigma=0.5, tau={tau!r}" in str(excinfo.value)
+
     def test_sqrt_moment_at_zero_tau_ignores_an_overflowing_vol(self):
         # sigma^2 = inf, and (r_f/2 - inf) * 0 would make the exponent nan
         m = MarketParams.from_rate_differential(0.03, 1e200, 0.0)

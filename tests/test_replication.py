@@ -86,6 +86,16 @@ class TestGridConstruction:
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse / 2.0
 
+    def test_node_cap_is_domain_error_naming_inputs(self, monkeypatch):
+        # 1e-12 is out of reach; a lower cap stops the doubling sooner
+        monkeypatch.setattr("lpgreeks.replication._N_CAP", 256)
+        with pytest.raises(DomainError) as excinfo:
+            build_strike_grid(1000.0, 0.7, 0.25, target_tol=1e-12)
+        message = str(excinfo.value)
+        assert "256 nodes per side" in message
+        assert "target_tol=1e-12" in message and "sigma=0.7" in message
+        assert "tau=0.25" in message
+
     def test_rejects_bad_tolerance(self):
         for bad in (0.0, -1e-3, 0.5):
             with pytest.raises(DomainError):

@@ -144,16 +144,27 @@ def _typed(value: Any, field: dict, path: str) -> Any:
     return value
 
 
-def _years(fields: dict, key: str, path: str, default: Optional[float] = None) -> float:
-    """A year-fraction field, or its <key>_days variant divided by DAYS_PER_YEAR."""
+def _years(fields: dict, key: str, path: str,
+           default: Optional[float] = None) -> tuple[float, str]:
+    """A year-fraction field, or its <key>_days variant divided by DAYS_PER_YEAR,
+    with the path of the key it was read from."""
     days_key = f"{key}_days"
     if key in fields and days_key in fields:
         raise ConfigError(f"{path}: give {key} or {days_key}, not both")
     if days_key in fields:
-        return fields[days_key] / DAYS_PER_YEAR
+        return fields[days_key] / DAYS_PER_YEAR, f"{path}.{days_key}"
     if key not in fields and default is None:
         raise ConfigError(f"{path}.{key}: required field is missing")
-    return fields.get(key, default)
+    return fields.get(key, default), f"{path}.{key}"
+
+
+def _maturity(fields: dict, path: str, start: tuple[float, str],
+              default: Optional[float] = None) -> float:
+    """A block's T or T_days in years; start is the position's t and its path."""
+    maturity, maturity_path = _years(fields, "T", path, default)
+    if maturity < start[0]:
+        raise ConfigError(f"{maturity_path}: must be >= {start[1]}")
+    return maturity
 
 
 def _parse_market(market: dict) -> MarketParams:
@@ -170,22 +181,6 @@ def _parse_market(market: dict) -> MarketParams:
         raise ConfigError(f"market: {exc}") from exc
 
 
-def _parse_position(position: dict) -> PositionConfig:
-    t = _years(position, "t", "position", default=0.0)
-    maturity = _years(position, "T", "position", default=t)
-    if maturity < t:
-        raise ConfigError("position.T: must be >= position.t")
-    return PositionConfig(v0=position["v0"], s0=position["s0"], t=t, maturity=maturity,
-                          locked=position.get("locked", False))
-
-
-def _parse_ig(ig: dict, t: float) -> IgTerms:
-    maturity = _years(ig, "T", "ig")
-    if maturity < t:
-        raise ConfigError("ig.T: must be >= position.t")
-    return IgTerms(strike=ig["k"], maturity=maturity)
-
-
 def _parse_mc(mc: dict) -> McConfig:
     try:
         return McConfig(**mc)
@@ -196,12 +191,16 @@ def _parse_mc(mc: dict) -> McConfig:
 def scenario_from_dict(data: Any) -> ScenarioConfig:
     root = _section(data, _schema())
     market = _parse_market(root["market"])
-    position = _parse_position(root["position"])
+    position = root["position"]
+    start = _years(position, "t", "position", default=0.0)
     scenario = ScenarioConfig(
         market=market,
-        position=position,
+        position=PositionConfig(v0=position["v0"], s0=position["s0"], t=start[0],
+                                maturity=_maturity(position, "position", start, start[0]),
+                                locked=position.get("locked", False)),
         spot=root["spot"],
-        ig=_parse_ig(root["ig"], position.t) if "ig" in root else None,
+        ig=IgTerms(strike=root["ig"]["k"], maturity=_maturity(root["ig"], "ig", start))
+        if "ig" in root else None,
         mc=_parse_mc(root["mc"]) if "mc" in root else None,
         quad_tol=root["quadrature"]["target_tol"] if "quadrature" in root else None,
     )

@@ -27,12 +27,18 @@ _N_START = 64
 _N_CAP = 1 << 21
 
 
+def _density_magnitude(k, s0: float):
+    """|h''(K)| = 1 / (4 * K^1.5 * sqrt(s0)) for a float K (Python's pow) or an
+    array of strikes (numpy's pow); the two pows differ in the last bit."""
+    return 1.0 / (4.0 * k**1.5 * math.sqrt(s0))
+
+
 def strip_density(k_strike: float, s0: float) -> float:
     """Second strike-derivative of the normalized shortfall payoff:
     -1 / (4 * K^1.5 * sqrt(s0)). Negative for every strike."""
     require_positive("k_strike", k_strike)
     require_positive("s0", s0)
-    return -1.0 / (4.0 * k_strike**1.5 * math.sqrt(s0))
+    return -_density_magnitude(k_strike, s0)
 
 
 @dataclass(frozen=True)
@@ -87,14 +93,7 @@ def _side(s0: float, lo_u: float, hi_u: float, n_side: int) -> tuple[np.ndarray,
     du = (hi_u - lo_u) / n_side
     coeff = np.full(n_side + 1, du)
     coeff[0] = coeff[-1] = 0.5 * du
-    density_mag = 1.0 / (4.0 * strikes**1.5 * math.sqrt(s0))
-    return strikes, coeff * strikes * density_mag
-
-
-def _raw_grid(s0: float, half_width: float, n_side: int):
-    put_k, put_w = _side(s0, -half_width, 0.0, n_side)
-    call_k, call_w = _side(s0, 0.0, half_width, n_side)
-    return put_k, put_w, call_k, call_w
+    return strikes, coeff * strikes * _density_magnitude(strikes, s0)
 
 
 def _reconstruct(put_k, put_w, call_k, call_w, s_terminal: float) -> float:
@@ -108,48 +107,48 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
     """Build the strip grid over [s0 * e^-m, s0 * e^+m], m = max(8*sigma*sqrt(tau), 5).
 
     Beyond those cuts both the option values and the density tail are
-    negligible for the regimes this models. When n_side is not given, the
-    per-side node count doubles until the halving difference of the
-    reconstructed shortfall, maximized over five terminal test prices spanning
+    negligible for the regimes this models. The per-side node count starts at
+    128 and doubles until the halving difference of the reconstructed
+    shortfall, maximized over five terminal test prices spanning
     [0.1*s0, 10*s0], falls below target_tol; that conservative difference is
     reported as error_estimate; a DomainError names sigma, tau and target_tol
-    when 2**21 nodes per side do not suffice. Passing n_side pins the node
-    count instead and still reports the halving difference.
+    when 2**21 nodes per side do not suffice, and names s0 when the density is
+    not a positive float at a cut. Passing n_side pins the first step of the
+    same loop to n_side nodes against n_side // 2 and stops there.
     """
     require_positive("s0", s0)
     require_non_negative("sigma", sigma)
     require_non_negative("tau", tau)
     if not (math.isfinite(target_tol) and 0.0 < target_tol <= 1e-2):
         raise DomainError(f"target_tol must lie in (0, 1e-2], got {target_tol!r}")
+    if n_side is not None and n_side < 2:
+        raise DomainError(f"n_side must be >= 2, got {n_side!r}")
 
     half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
+    with np.errstate(all="ignore"):  # the density falls with K: the cuts bound every node
+        cuts = s0 * np.exp(np.array((-half_width, half_width)))
+        top, bottom = _density_magnitude(cuts, s0).tolist()
+    if not 0.0 < bottom <= top < math.inf:
+        raise DomainError(f"strip density 1/(4*K**1.5*sqrt(s0)) is not a positive float at "
+                          f"the cut strikes s0*exp(+-{half_width!r}) for s0={s0!r}")
     test_prices = [s0 * ratio for ratio in _TEST_RATIOS]
 
     def reconstruction_profile(n: int):
-        parts = _raw_grid(s0, half_width, n)
-        values = np.array([_reconstruct(*parts, p) for p in test_prices])
-        return parts, values
+        parts = (*_side(s0, -half_width, 0.0, n), *_side(s0, 0.0, half_width, n))
+        return parts, np.array([_reconstruct(*parts, p) for p in test_prices])
 
-    if n_side is not None:
-        if n_side < 2:
-            raise DomainError(f"n_side must be >= 2, got {n_side!r}")
-        _, coarse = reconstruction_profile(max(n_side // 2, 1))
-        parts, fine = reconstruction_profile(n_side)
+    chosen = 2 * _N_START if n_side is None else n_side
+    _, coarse = reconstruction_profile(chosen // 2)
+    while True:
+        parts, fine = reconstruction_profile(chosen)
         err = float(np.max(np.abs(fine - coarse)))
-        chosen = n_side
-    else:
-        chosen = _N_START
-        parts, coarse = reconstruction_profile(chosen)
-        while True:
-            next_parts, fine = reconstruction_profile(2 * chosen)
-            err = float(np.max(np.abs(fine - coarse)))
-            chosen, parts, coarse = 2 * chosen, next_parts, fine
-            if err <= target_tol:
-                break
-            if chosen >= _N_CAP:
-                raise DomainError(
-                    f"strike grid reached {chosen} nodes per side without meeting "
-                    f"target_tol={target_tol!r} at sigma={sigma!r}, tau={tau!r}")
+        if n_side is not None or err <= target_tol:
+            break
+        if chosen >= _N_CAP:
+            raise DomainError(
+                f"strike grid reached {chosen} nodes per side without meeting "
+                f"target_tol={target_tol!r} at sigma={sigma!r}, tau={tau!r}")
+        chosen, coarse = 2 * chosen, fine
 
     put_k, put_w, call_k, call_w = parts
     return StrikeGrid(
@@ -227,17 +226,19 @@ def price_ig_via_strip(contract: IgContract, s_t: float, market: MarketParams,
     return contract.notional_v0 * total
 
 
-def _tail_remainder(grid: StrikeGrid, s_t: float, market: MarketParams, tau: float) -> float:
-    """Analytic bound on the strip value lost beyond the cut strikes.
+def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketParams,
+                            grid: StrikeGrid) -> float:
+    """Combined error estimate for price_ig_via_strip, in token-y units: the grid's
+    error_estimate plus an analytic bound on the strip value lost beyond the cuts.
 
     Put side: premiums below lower_cut are bounded by disc * K * N(-d2(cut)),
     and the density integral of K below the cut is sqrt(cut)/(2*sqrt(s0)).
     Call side mirrors with disc * F * N(d1(cut)) and density mass
     1/(2*sqrt(cut*s0)).
     """
-    forward = forward_price(s_t, market, tau)
-    disc = decay_factors(market, tau).gamma_disc
-    vol = market.sigma * math.sqrt(tau)
+    forward = forward_price(s_t, market, contract.tau)
+    disc = decay_factors(market, contract.tau).gamma_disc
+    vol = market.sigma * math.sqrt(contract.tau)
     s0 = grid.entry_price
     if vol == 0.0:
         p_put = 1.0 if forward <= grid.lower_cut else 0.0
@@ -247,14 +248,7 @@ def _tail_remainder(grid: StrikeGrid, s_t: float, market: MarketParams, tau: flo
         p_call = float(ndtr(math.log(forward / grid.upper_cut) / vol + 0.5 * vol))
     put_tail = disc * p_put * math.sqrt(grid.lower_cut) / (2.0 * math.sqrt(s0))
     call_tail = disc * forward * p_call / (2.0 * math.sqrt(grid.upper_cut * s0))
-    return put_tail + call_tail
-
-
-def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketParams,
-                            grid: StrikeGrid) -> float:
-    """Combined error estimate for price_ig_via_strip, in token-y units."""
-    tail = _tail_remainder(grid, s_t, market, contract.tau)
-    return contract.notional_v0 * (grid.error_estimate + tail)
+    return contract.notional_v0 * (grid.error_estimate + (put_tail + call_tail))
 
 
 def write_grid_csv(grid: StrikeGrid, path) -> None:

@@ -90,6 +90,21 @@ def test_field_diagnostics(mutate, fragment):
     assert fragment in str(excinfo.value)
 
 
+@pytest.mark.parametrize("position,ig,message", [
+    ({"t": 0.25, "T_days": 7}, {"T": 0.5}, "position.T_days: must be >= position.t"),
+    ({"t_days": 100, "T": 0.1}, {"T": 0.5}, "position.T: must be >= position.t_days"),
+    ({"t_days": 10, "T_days": 30}, {"T_days": 5}, "ig.T_days: must be >= position.t_days"),
+    ({"t": 0.25, "T": 0.5}, {"T": 0.1}, "ig.T: must be >= position.t"),
+])
+def test_maturity_rule_names_the_keys_given(position, ig, message):
+    data = json.loads(json.dumps(FULL))
+    data["position"] = {"v0": 10000, "s0": 1000, "locked": True, **position}
+    data["ig"] = {"k": 1000, **ig}
+    with pytest.raises(ConfigError) as excinfo:
+        scenario_from_dict(data)
+    assert str(excinfo.value) == message
+
+
 def test_invalid_json_reports_line():
     with pytest.raises(ConfigError) as excinfo:
         loads_config('{\n  "market": oops\n}')

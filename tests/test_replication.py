@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpgreeks import (
@@ -95,6 +95,31 @@ class TestGridConstruction:
         assert "256 nodes per side" in message
         assert "target_tol=1e-12" in message and "sigma=0.7" in message
         assert "tau=0.25" in message
+
+    @settings(max_examples=40, deadline=None)
+    @given(s0=st.floats(1e-3, 1e6), sigma=st.floats(0.05, 2.0), tau=st.floats(1e-3, 10.0),
+           target_tol=st.floats(-7.0, -2.0).map(lambda e: 10.0 ** e))
+    def test_pinned_node_count_repeats_the_adaptive_grid(self, s0, sigma, tau, target_tol):
+        adaptive = build_strike_grid(s0, sigma, tau, target_tol=target_tol)
+        pinned = build_strike_grid(s0, sigma, tau, n_side=len(adaptive.put_strikes) - 1)
+        for name in ("put_strikes", "put_weights", "call_strikes", "call_weights"):
+            assert np.array_equal(getattr(pinned, name), getattr(adaptive, name))
+        assert pinned.error_estimate == adaptive.error_estimate
+        assert pinned.scheme == adaptive.scheme
+
+    @pytest.mark.parametrize("s0", [1e300, 1e200, 1e-200, 1e-300])
+    def test_extreme_entry_price_is_domain_error_naming_s0(self, s0):
+        # the density denominator overflows at the upper cut or underflows at the lower one
+        with pytest.raises(DomainError) as excinfo:
+            build_strike_grid(s0, 0.7, 0.5)
+        assert f"s0={s0!r}" in str(excinfo.value)
+        assert "1/(4*K**1.5*sqrt(s0))" in str(excinfo.value)
+
+    @pytest.mark.parametrize("s0", [1e-150, 1e152])
+    def test_entry_price_inside_the_density_range_builds(self, s0):
+        grid = build_strike_grid(s0, 0.7, 0.5)
+        assert grid.error_estimate <= 1e-5
+        assert grid.put_strikes[-1] == s0 == grid.call_strikes[0]
 
     def test_rejects_bad_tolerance(self):
         for bad in (0.0, -1e-3, 0.5):

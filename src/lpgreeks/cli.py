@@ -35,10 +35,11 @@ from .verify import _g17, run_verification, write_report
 
 _FIGURE_POINTS = 201
 
-# strategy -> (price, greeks, remaining time tau), each read off a scenario at its spot
+# strategy -> (price, greeks, remaining time tau), each read off a scenario at its
+# spot; unlocked-lp values the position as redeemable, also where the config locks it
 STRATEGIES: dict[str, tuple[Callable, Callable, Callable]] = {
-    "unlocked-lp": (lambda s: price_unlocked_lp(s.lp_state()),
-                    lambda s: greeks_unlocked_lp(s.lp_state()),
+    "unlocked-lp": (lambda s: price_unlocked_lp(replace(s.lp_state(), locked=False)),
+                    lambda s: greeks_unlocked_lp(replace(s.lp_state(), locked=False)),
                     lambda s: s.lp_state().tau),
     "locked-lp": (lambda s: price_locked_lp(s.lp_state()),
                   lambda s: greeks_locked_lp(s.lp_state()),
@@ -56,11 +57,12 @@ _DISPLAY_SCALES = {
 }
 
 
-def _map_errors(fn: Callable) -> Callable:
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Cli(click.Group):
+    """The command group; it maps every subcommand's errors to exit codes."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
@@ -73,10 +75,9 @@ def _map_errors(fn: Callable) -> Callable:
         except ArithmeticError as exc:
             click.echo(f"internal consistency failure: {exc}", err=True)
             sys.exit(1)
-    return wrapper
 
 
-@click.group()
+@click.group(cls=_Cli)
 @click.version_option(package_name="lpgreeks")
 def cli() -> None:
     """Analytics for constant-product AMM liquidity positions and the
@@ -89,7 +90,6 @@ def cli() -> None:
 @click.option("--strategy", required=True, type=click.Choice(tuple(STRATEGIES)))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the machine-readable record to this path.")
-@_map_errors
 def cmd_price(config_path: str, strategy: str, out_path: Optional[str]) -> None:
     """Price one strategy, echoing the decay factors and all inputs."""
     scenario = load_config(config_path)
@@ -119,7 +119,6 @@ def _greeks_record(report: GreeksReport) -> dict:
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--strategy", required=True, type=click.Choice(tuple(STRATEGIES)))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@_map_errors
 def cmd_greeks(config_path: str, strategy: str, out_path: Optional[str]) -> None:
     """Print the seven greeks, raw and display-scaled."""
     scenario = load_config(config_path)
@@ -142,7 +141,6 @@ def cmd_greeks(config_path: str, strategy: str, out_path: Optional[str]) -> None
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the table as CSV to this path.")
-@_map_errors
 def cmd_table(config_path: str, out_path: Optional[str]) -> None:
     """Side-by-side greeks of the unlocked LP, locked LP and gain contract."""
     scenario = load_config(config_path)
@@ -165,7 +163,6 @@ def cmd_table(config_path: str, out_path: Optional[str]) -> None:
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@_map_errors
 def cmd_hedge(config_path: str, out_path: Optional[str]) -> None:
     """Greeks of the locked position hedged with the gain contract."""
     scenario = load_config(config_path)
@@ -224,7 +221,6 @@ for _field in (None, *GREEK_LABELS):
 @click.option("--figure", "figure_id", required=True,
               type=click.Choice(sorted(FIGURES)))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@_map_errors
 def cmd_figure(config_path: str, figure_id: str, out_path: str) -> None:
     """Write one figure as a two-column CSV (abscissa, closed-form value)."""
     scenario = load_config(config_path)
@@ -242,7 +238,6 @@ def cmd_figure(config_path: str, figure_id: str, out_path: str) -> None:
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
               help="Override mc.seed.")
 @click.option("--paths", type=click.IntRange(min=1), default=None, help="Override mc.n_paths.")
-@_map_errors
 def cmd_verify(config_path: str, out_path: Optional[str],
                seed: Optional[int], paths: Optional[int]) -> None:
     """Run the full oracle suite; exit 1 if any check fails."""

@@ -173,38 +173,31 @@ def _parse_market(market: dict) -> MarketParams:
         raise ConfigError("market: give exactly one of (r_x, r_y) or r_f")
     if has_pair and not ("r_x" in market and "r_y" in market):
         raise ConfigError("market: r_x and r_y must be given together")
-    try:
-        if has_pair:
-            return MarketParams(**market)
-        return MarketParams.from_rate_differential(**market)
-    except DomainError as exc:
-        raise ConfigError(f"market: {exc}") from exc
-
-
-def _parse_mc(mc: dict) -> McConfig:
-    try:
-        return McConfig(**mc)
-    except DomainError as exc:
-        raise ConfigError(f"mc: {exc}") from exc
+    if has_pair:
+        return MarketParams(**market)
+    return MarketParams.from_rate_differential(**market)
 
 
 def scenario_from_dict(data: Any) -> ScenarioConfig:
+    """The validated scenario of a parsed file. The schema bounds reject every
+    value the market and mc types reject, so a DomainError from the types is
+    a cross-field one, such as the pool invariant of v0 and s0."""
     root = _section(data, _schema())
-    market = _parse_market(root["market"])
-    position = root["position"]
-    start = _years(position, "t", "position", default=0.0)
-    scenario = ScenarioConfig(
-        market=market,
-        position=PositionConfig(v0=position["v0"], s0=position["s0"], t=start[0],
-                                maturity=_maturity(position, "position", start, start[0]),
-                                locked=position.get("locked", False)),
-        spot=root["spot"],
-        ig=IgTerms(strike=root["ig"]["k"], maturity=_maturity(root["ig"], "ig", start))
-        if "ig" in root else None,
-        mc=_parse_mc(root["mc"]) if "mc" in root else None,
-        quad_tol=root["quadrature"]["target_tol"] if "quadrature" in root else None,
-    )
     try:
+        market = _parse_market(root["market"])
+        position = root["position"]
+        start = _years(position, "t", "position", default=0.0)
+        scenario = ScenarioConfig(
+            market=market,
+            position=PositionConfig(v0=position["v0"], s0=position["s0"], t=start[0],
+                                    maturity=_maturity(position, "position", start, start[0]),
+                                    locked=position.get("locked", False)),
+            spot=root["spot"],
+            ig=IgTerms(strike=root["ig"]["k"], maturity=_maturity(root["ig"], "ig", start))
+            if "ig" in root else None,
+            mc=McConfig(**root["mc"]) if "mc" in root else None,
+            quad_tol=root["quadrature"]["target_tol"] if "quadrature" in root else None,
+        )
         scenario.lp_state()
         if scenario.ig is not None:
             scenario.ig_contract()

@@ -61,18 +61,20 @@ class GreeksReport:
         return report
 
 
-def _spot_range_error(s_t: float, exc: ArithmeticError) -> DomainError:
-    """The error for a spot at which s_t**1.5 overflows (OverflowError) or a
-    delta or gamma denominator underflows to 0 (ZeroDivisionError)."""
-    cause = "overflows" if isinstance(exc, OverflowError) else "underflows to 0"
-    return DomainError(f"s_t**1.5 or a greek denominator {cause} at s_t={s_t!r}")
-
-
-def _sqrt_product(a: float, b: float) -> float:
-    """sqrt(a*b), or sqrt(a)*sqrt(b) where a*b overflows; every finite
-    sqrt(a*b) keeps its bits."""
-    root = math.sqrt(a * b)
-    return root if root != math.inf else math.sqrt(a) * math.sqrt(b)
+def _spot_denominators(x: float, s_t: float) -> tuple[float, float]:
+    """2*sqrt(x*s_t) and 4*sqrt(x)*s_t**1.5 for x the entry price or the strike;
+    a DomainError where s_t**1.5 overflows or either is 0. An inf product stays
+    (gamma is then a signed zero), and sqrt(x*s_t) becomes sqrt(x)*sqrt(s_t)
+    only where x*s_t overflows, so every finite root keeps its bits."""
+    try:
+        gamma_den = 4.0 * math.sqrt(x) * s_t**1.5
+    except OverflowError:
+        raise DomainError(f"s_t**1.5 or a greek denominator overflows at s_t={s_t!r}") from None
+    root = math.sqrt(x * s_t)
+    delta_den = 2.0 * (root if root != math.inf else math.sqrt(x) * math.sqrt(s_t))
+    if delta_den == 0.0 or gamma_den == 0.0:
+        raise DomainError(f"s_t**1.5 or a greek denominator underflows to 0 at s_t={s_t!r}")
+    return delta_den, gamma_den
 
 
 def greeks_unlocked_lp(state: LpState) -> GreeksReport:
@@ -84,19 +86,9 @@ def greeks_unlocked_lp(state: LpState) -> GreeksReport:
     if state.locked:
         raise DomainError("state is locked; use greeks_locked_lp")
     v0 = state.position.notional_v0
-    s0 = state.position.entry_price_s0
-    s = state.s_t
-    try:
-        return GreeksReport.at_spot(
-            s,
-            delta=v0 / (2.0 * _sqrt_product(s0, s)),
-            gamma=-v0 / (4.0 * math.sqrt(s0) * s**1.5),
-            vega=0.0,
-            theta=state.market.phi * v0,
-            rho=0.0,
-        )
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _spot_range_error(s, exc) from None
+    delta_den, gamma_den = _spot_denominators(state.position.entry_price_s0, state.s_t)
+    return GreeksReport.at_spot(state.s_t, delta=v0 / delta_den, gamma=-v0 / gamma_den,
+                                vega=0.0, theta=state.market.phi * v0, rho=0.0)
 
 
 def greeks_locked_lp(state: LpState) -> GreeksReport:
@@ -117,17 +109,15 @@ def greeks_locked_lp(state: LpState) -> GreeksReport:
     d = decay_factors(m, tau)
     moneyness = math.sqrt(s / s0)
     fee_leg = m.phi * state.maturity_T * d.gamma_disc
-    try:
-        return GreeksReport.at_spot(
-            s,
-            delta=v0 * d.beta / (2.0 * _sqrt_product(s0, s)),
-            gamma=-v0 * d.beta / (4.0 * math.sqrt(s0) * s**1.5),
-            vega=-v0 * (m.sigma * tau / 4.0) * moneyness * d.beta,
-            theta=v0 * (moneyness * d.carry * d.beta + m.r_f * fee_leg),
-            rho=-v0 * ((tau / 2.0) * moneyness * d.beta + tau * fee_leg),
-        )
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _spot_range_error(s, exc) from None
+    delta_den, gamma_den = _spot_denominators(s0, s)
+    return GreeksReport.at_spot(
+        s,
+        delta=v0 * d.beta / delta_den,
+        gamma=-v0 * d.beta / gamma_den,
+        vega=-v0 * (m.sigma * tau / 4.0) * moneyness * d.beta,
+        theta=v0 * (moneyness * d.carry * d.beta + m.r_f * fee_leg),
+        rho=-v0 * ((tau / 2.0) * moneyness * d.beta + tau * fee_leg),
+    )
 
 
 def greeks_ig(contract: IgContract, s_t: float, market: MarketParams) -> GreeksReport:
@@ -143,17 +133,15 @@ def greeks_ig(contract: IgContract, s_t: float, market: MarketParams) -> GreeksR
     tau = contract.tau
     d = decay_factors(market, tau)
     moneyness = math.sqrt(s_t / k)
-    try:
-        return GreeksReport.at_spot(
-            s_t,
-            delta=v0 * (1.0 / (2.0 * k) - d.beta / (2.0 * _sqrt_product(k, s_t))),
-            gamma=v0 * d.beta / (4.0 * math.sqrt(k) * s_t**1.5),
-            vega=v0 * (market.sigma * tau / 4.0) * moneyness * d.beta,
-            theta=v0 * (0.5 * market.r_f * d.gamma_disc - moneyness * d.carry * d.beta),
-            rho=(v0 * tau / 2.0) * (moneyness * d.beta - d.gamma_disc),
-        )
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _spot_range_error(s_t, exc) from None
+    delta_den, gamma_den = _spot_denominators(k, s_t)
+    return GreeksReport.at_spot(
+        s_t,
+        delta=v0 * (1.0 / (2.0 * k) - d.beta / delta_den),
+        gamma=v0 * d.beta / gamma_den,
+        vega=v0 * (market.sigma * tau / 4.0) * moneyness * d.beta,
+        theta=v0 * (0.5 * market.r_f * d.gamma_disc - moneyness * d.carry * d.beta),
+        rho=(v0 * tau / 2.0) * (moneyness * d.beta - d.gamma_disc),
+    )
 
 
 def _sum_reports(a: GreeksReport, b: GreeksReport) -> GreeksReport:

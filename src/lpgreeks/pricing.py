@@ -112,9 +112,18 @@ class DecayFactors:
     carry: float
 
 
-def _overflow(formula: str, market: MarketParams, tau: float) -> DomainError:
-    return DomainError(f"{formula} overflow at r_f={market.r_f!r}, "
-                       f"sigma={market.sigma!r}, tau={tau!r}")
+def _exp(scale: float, exponent: float, formula: str, market: MarketParams,
+         tau: float) -> float:
+    """scale * exp(exponent), or a DomainError naming the formula, r_f, sigma
+    and tau where exp overflows or the product is inf (math.exp(inf) is inf)."""
+    try:
+        value = scale * math.exp(exponent)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"{formula} overflow at r_f={market.r_f!r}, "
+                          f"sigma={market.sigma!r}, tau={tau!r}")
+    return value
 
 
 def decay_factors(market: MarketParams, tau: float) -> DecayFactors:
@@ -124,13 +133,9 @@ def decay_factors(market: MarketParams, tau: float) -> DecayFactors:
     carry = 0.5 * r_f + market.sigma * market.sigma / 8.0
     if tau == 0.0:  # exactly 1 even where sigma^2 overflows (inf * 0 is nan)
         return DecayFactors(beta=1.0, gamma_disc=1.0, carry=carry)
-    beta_exp, disc_exp = -carry * tau, -r_f * tau
-    try:
-        if beta_exp == math.inf or disc_exp == math.inf:
-            raise OverflowError  # math.exp(inf) returns inf instead of raising
-        return DecayFactors(beta=math.exp(beta_exp), gamma_disc=math.exp(disc_exp), carry=carry)
-    except OverflowError:
-        raise _overflow("decay factors exp(-carry*tau), exp(-r_f*tau)", market, tau) from None
+    formula = "decay factors exp(-carry*tau), exp(-r_f*tau)"
+    return DecayFactors(beta=_exp(1.0, -carry * tau, formula, market, tau),
+                        gamma_disc=_exp(1.0, -r_f * tau, formula, market, tau), carry=carry)
 
 
 def expected_sqrt_price(s_t: float, market: MarketParams, tau: float) -> float:
@@ -140,26 +145,15 @@ def expected_sqrt_price(s_t: float, market: MarketParams, tau: float) -> float:
     if tau == 0.0:  # as in decay_factors: an overflowing sigma^2 times 0 is nan
         return math.sqrt(s_t)
     exponent = (0.5 * market.r_f - market.sigma * market.sigma / 8.0) * tau
-    try:
-        moment = math.sqrt(s_t) * math.exp(exponent)
-        if moment == math.inf:
-            raise OverflowError  # math.exp(inf), or the product, is inf without raising
-        return moment
-    except OverflowError:
-        raise _overflow("sqrt moment exp((r_f/2 - sigma^2/8)*tau)", market, tau) from None
+    return _exp(math.sqrt(s_t), exponent, "sqrt moment exp((r_f/2 - sigma^2/8)*tau)",
+                market, tau)
 
 
 def forward_price(s_t: float, market: MarketParams, tau: float) -> float:
     """Risk-neutral mean of S_T: s_t * exp(r_f * tau)."""
     require_positive("s_t", s_t)
     require_non_negative("tau", tau)
-    try:
-        forward = s_t * math.exp(market.r_f * tau)
-        if forward == math.inf:
-            raise OverflowError  # math.exp(inf), or the product, is inf without raising
-        return forward
-    except OverflowError:
-        raise _overflow("forward exp(r_f*tau)", market, tau) from None
+    return _exp(s_t, market.r_f * tau, "forward exp(r_f*tau)", market, tau)
 
 
 def lp_premium(v0: float, s0: float, s_t: float, market: MarketParams,

@@ -35,10 +35,18 @@ def _density_magnitude(k, s0: float):
 
 def strip_density(k_strike: float, s0: float) -> float:
     """Second strike-derivative of the normalized shortfall payoff:
-    -1 / (4 * K^1.5 * sqrt(s0)). Negative for every strike."""
+    -1 / (4 * K^1.5 * sqrt(s0)). Negative for every strike; a DomainError
+    where its magnitude is not a positive float."""
     require_positive("k_strike", k_strike)
     require_positive("s0", s0)
-    return -_density_magnitude(k_strike, s0)
+    try:
+        magnitude = _density_magnitude(k_strike, s0)
+    except (OverflowError, ZeroDivisionError):  # K**1.5 overflows, or the denominator is 0
+        magnitude = 0.0
+    if not 0.0 < magnitude < math.inf:
+        raise DomainError(f"strip density 1/(4*K**1.5*sqrt(s0)) is not a positive float at "
+                          f"k_strike={k_strike!r}, s0={s0!r}")
+    return -magnitude
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,13 @@ class TestPriceCommand:
                                      "--strategy", "locked-lp"])
         assert result.exit_code == 3
 
+    def test_unlocked_lp_values_a_locked_position_as_redeemable(self, runner):
+        # V0 * (sqrt(s_t/s0) + phi*t) = 10000 * (1 + 0.1*0.25)
+        result = runner.invoke(cli, ["price", "--config", str(HALF_YEAR_CONFIG),
+                                     "--strategy", "unlocked-lp"])
+        assert result.exit_code == 0
+        assert "price:      10250\n" in result.output
+
     def test_overflow_is_domain_error(self, runner, tmp_path):
         # exp(-r_f * tau) = exp(1000) overflows; that is not a failed verification
         data = {
@@ -205,6 +212,18 @@ class TestGreeksCommand:
         assert record["delta"] > 0.0
         assert "per 1% vol" in result.output
         assert "per day" in result.output
+
+    def test_unlocked_lp_delta_is_the_table_column(self, runner, tmp_path):
+        greeks_out, table_out = tmp_path / "greeks.json", tmp_path / "table.csv"
+        assert runner.invoke(cli, ["greeks", "--config", str(HALF_YEAR_CONFIG),
+                                   "--strategy", "unlocked-lp",
+                                   "--out", str(greeks_out)]).exit_code == 0
+        assert runner.invoke(cli, ["table", "--config", str(HALF_YEAR_CONFIG),
+                                   "--out", str(table_out)]).exit_code == 0
+        delta = json.loads(greeks_out.read_text())["greeks"]["delta"]
+        row = next(line for line in table_out.read_text().splitlines()
+                   if line.startswith("Delta,"))
+        assert delta == float(row.split(",")[1]) == 5.0
 
 
 class TestHedgeCommand:
@@ -497,3 +516,51 @@ class TestFloatRangeErrors:
         assert result.exit_code == 3
         assert "domain error: " in result.output
         assert "s_t**1.5" in result.output and "s_t=1e+300" in result.output
+
+
+# the options each command needs besides --config; a command missing here fails
+# test_every_command_maps_config_errors
+COMMAND_ARGS = {
+    "price": ["--strategy", "ig"],
+    "greeks": ["--strategy", "ig"],
+    "table": [],
+    "hedge": [],
+    "figure": ["--figure", "il-curve"],
+    "verify": [],
+}
+
+
+class TestErrorMapping:
+    """The group maps each error type to its exit code once, for every command."""
+
+    @pytest.mark.parametrize("command", sorted(cli.commands))
+    def test_every_command_maps_config_errors(self, runner, tmp_path, command):
+        data = json.loads(HALF_YEAR_CONFIG.read_text())
+        data["market"] = 1
+        path = write_config(tmp_path, data)
+        result = runner.invoke(cli, [command, "--config", str(path), *COMMAND_ARGS[command],
+                                     "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.output == "config error: market: expected an object, got int\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda d: d.update(ig={"k": 1000}), "ig.T: required field is missing"),
+        (lambda d: d["position"].update(v0=1e-300, s0=1e300),
+         "scenario: invariant_l must be positive and finite, got 0.0"),
+    ])
+    def test_config_error_names_the_field(self, runner, tmp_path, mutate, message):
+        data = json.loads(HALF_YEAR_CONFIG.read_text())
+        mutate(data)
+        path = write_config(tmp_path, data)
+        result = runner.invoke(cli, ["price", "--config", str(path), "--strategy", "ig"])
+        assert result.exit_code == 2
+        assert result.output == f"config error: {message}\n"
+
+    def test_failed_cancellation_is_an_internal_consistency_failure(
+            self, runner, monkeypatch):
+        monkeypatch.setattr("lpgreeks.greeks._CANCEL_TOL", -1.0)
+        result = runner.invoke(cli, ["hedge", "--config", str(HEDGE_CONFIG)])
+        assert result.exit_code == 1
+        assert result.output.startswith(
+            "internal consistency failure: gamma legs failed to cancel")

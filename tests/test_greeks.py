@@ -361,3 +361,21 @@ def test_delta_survives_an_overflowing_root_product(strategy, half_year_market):
     beta = decay_factors(half_year_market, state.tau).beta if locked else 1.0
     assert report.delta == v0 * beta / (2.0 * root)
     assert report.delta > 0.0
+
+
+@pytest.mark.parametrize("strategy", ["unlocked-lp", "locked-lp", "ig"])
+def test_overflowing_gamma_denominator_gives_a_zero_gamma(strategy, half_year_market):
+    # 4*sqrt(1e16)*(1e200)**1.5 overflows to inf in the product, not in the
+    # power: gamma is then a signed zero, not a domain error
+    v0, s0, s_t = 10000.0, 1e16, 1e200
+    if strategy == "ig":
+        contract = IgContract(notional_v0=v0, strike_k=s0, maturity_T=0.5, t=0.25)
+        report, sign = greeks_ig(contract, s_t, half_year_market), 1.0
+    else:
+        locked = strategy == "locked-lp"
+        state = LpState(position=pool_from_deposit(v0, s0), market=half_year_market,
+                        s_t=s_t, t=0.25, maturity_T=0.5, locked=locked)
+        report = (greeks_locked_lp if locked else greeks_unlocked_lp)(state)
+        sign = -1.0
+    assert all(math.isfinite(getattr(report, name)) for name in GREEK_LABELS)
+    assert report.gamma == 0.0 and math.copysign(1.0, report.gamma) == sign

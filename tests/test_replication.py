@@ -40,6 +40,21 @@ class TestStripDensity:
         with pytest.raises(DomainError):
             strip_density(1.0, -1.0)
 
+    @pytest.mark.parametrize("k,s0", [
+        (1e250, 1.0),  # K**1.5 overflows
+        (1e-300, 1e-300),  # 4*K**1.5*sqrt(s0) underflows to 0
+        (1e-206, 1.0),  # the magnitude overflows to inf
+        (1e200, 1e100),  # the denominator overflows to inf, the magnitude is 0
+    ])
+    def test_density_outside_the_float_range_is_domain_error(self, k, s0):
+        with pytest.raises(DomainError) as excinfo:
+            strip_density(k, s0)
+        assert str(excinfo.value) == ("strip density 1/(4*K**1.5*sqrt(s0)) is not a positive "
+                                      f"float at k_strike={k!r}, s0={s0!r}")
+
+    def test_extreme_density_inside_the_float_range_keeps_its_bits(self):
+        assert strip_density(1.0, 1e-320) == -2.5000139161378407e+159
+
     def test_payoff_and_slope_vanish_at_entry(self):
         # the replication identity's h(S0) and h'(S0) terms drop out because
         # both are zero at the entry price

@@ -35,14 +35,21 @@ from .verify import _g17, run_verification, write_report
 
 _FIGURE_POINTS = 201
 
-# strategy -> (price, greeks, remaining time tau), each read off a scenario at its
-# spot; unlocked-lp values the position as redeemable, also where the config locks it
+
+def _locked_state(scenario: ScenarioConfig):
+    if not scenario.position.locked:
+        raise DomainError("--strategy locked-lp needs a locked position: position.locked is false")
+    return scenario.lp_state()
+
+
+# strategy -> (price, greeks, tau of the decay factors its price uses), each read off a
+# scenario at its spot; unlocked-lp values the position as redeemable (tau 0), even if locked
 STRATEGIES: dict[str, tuple[Callable, Callable, Callable]] = {
     "unlocked-lp": (lambda s: price_unlocked_lp(replace(s.lp_state(), locked=False)),
                     lambda s: greeks_unlocked_lp(replace(s.lp_state(), locked=False)),
-                    lambda s: s.lp_state().tau),
-    "locked-lp": (lambda s: price_locked_lp(s.lp_state()),
-                  lambda s: greeks_locked_lp(s.lp_state()),
+                    lambda s: 0.0),
+    "locked-lp": (lambda s: price_locked_lp(_locked_state(s)),
+                  lambda s: greeks_locked_lp(_locked_state(s)),
                   lambda s: s.lp_state().tau),
     "ig": (lambda s: price_ig(s.ig_contract(), s.spot, s.market),
            lambda s: greeks_ig(s.ig_contract(), s.spot, s.market),

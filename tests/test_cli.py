@@ -101,6 +101,27 @@ class TestPriceCommand:
         assert result.exit_code == 0
         assert "price:      10250\n" in result.output
 
+    @pytest.mark.parametrize("command", ["price", "greeks"])
+    def test_locked_lp_on_an_unlocked_config_names_position_locked(self, runner, tmp_path,
+                                                                   command):
+        data = json.loads(HALF_YEAR_CONFIG.read_text())
+        data["position"]["locked"] = False
+        result = runner.invoke(cli, [command, "--config", str(write_config(tmp_path, data)),
+                                     "--strategy", "locked-lp"])
+        assert result.exit_code == 3
+        assert result.stderr == ("domain error: --strategy locked-lp needs a locked position: "
+                                 "position.locked is false\n")
+
+    def test_unlocked_lp_echoes_the_factors_of_its_redeemable_price(self, runner, tmp_path):
+        # the redeemable price uses tau = 0, where both decay factors are exactly 1
+        out = tmp_path / "price.json"
+        result = runner.invoke(cli, ["price", "--config", str(HALF_YEAR_CONFIG),
+                                     "--strategy", "unlocked-lp", "--out", str(out)])
+        assert result.exit_code == 0
+        assert "beta:       1\ngamma_disc: 1\n" in result.output
+        record = json.loads(out.read_text())
+        assert record["beta"] == 1.0 and record["gamma_disc"] == 1.0
+
     def test_overflow_is_domain_error(self, runner, tmp_path):
         # exp(-r_f * tau) = exp(1000) overflows; that is not a failed verification
         data = {

@@ -1,5 +1,6 @@
 import csv
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lpgreeks import (
     vanilla_price,
     write_grid_csv,
 )
+from lpgreeks import replication
 
 WEEK_TAU = 7.0 / 365.0
 
@@ -140,6 +142,59 @@ class TestGridConstruction:
         for bad in (0.0, -1e-3, 0.5):
             with pytest.raises(DomainError):
                 build_strike_grid(1000.0, 0.7, 1.0, target_tol=bad)
+
+
+def _fuzz_case(rng: random.Random) -> tuple:
+    """(s0, sigma, tau, target_tol, n_side): s0 from e**-300 to e**300, some sigma or
+    tau exactly 0, and a third of the cases pinned to an odd or even n_side."""
+    s0 = math.exp(rng.uniform(-300.0, 300.0) if rng.random() < 0.3 else rng.uniform(-8.0, 12.0))
+    sigma = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 0.4)
+    tau = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 1.0)
+    n_side = rng.choice([None, None, rng.randrange(2, 600)])
+    return s0, sigma, tau, 10.0 ** rng.uniform(-7.0, -2.0), n_side
+
+
+def _one_price_reconstruction(grid, s_terminal: float) -> float:
+    put_leg = float(np.sum(np.maximum(grid.put_strikes - s_terminal, 0.0) * grid.put_weights))
+    call_leg = float(np.sum(np.maximum(s_terminal - grid.call_strikes, 0.0) * grid.call_weights))
+    return -(put_leg + call_leg)
+
+
+class TestNestedRefinement:
+    """Each doubling reuses the coarse level's nodes; the grid it picks must carry the
+    bits of a fresh build at that level, and the one-pass reconstruction the bits of
+    one sum per price."""
+
+    def test_fuzzed_grids_equal_a_fresh_build_at_their_level(self, monkeypatch):
+        rng = random.Random(20261018)
+        built = pinned = 0
+        for _ in range(2000):
+            s0, sigma, tau, target_tol, n_side = _fuzz_case(rng)
+            try:
+                grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol, n_side=n_side)
+            except DomainError as exc:  # an entry price past the density's float range
+                assert f"s0={s0!r}" in str(exc)
+                continue
+            built += 1
+            pinned += n_side is not None
+            n = len(grid.put_strikes) - 1
+            assert grid.scheme == f"trapezoid-log/{n}+{n}"
+            half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
+            fresh = (*replication._side(s0, -half_width, 0.0, n),
+                     *replication._side(s0, 0.0, half_width, n))
+            ours = (grid.put_strikes, grid.put_weights, grid.call_strikes, grid.call_weights)
+            for got, want in zip(ours, fresh):
+                assert got.tobytes() == want.tobytes()
+
+            # blocks of one row, of two rows and (for n < 10922) of all six
+            monkeypatch.setattr(replication, "_BLOCK", rng.choice([1, 3 * n, 1 << 16]))
+            prices = s0 * np.array([0.1, 0.5, 1.0, 2.0, 10.0, rng.uniform(0.01, 20.0)])
+            rows = replication._reconstruct(ours[:2], ours[2:], prices)
+            for s_terminal, row in zip(prices.tolist(), rows.tolist()):
+                assert row.hex() == _one_price_reconstruction(grid, s_terminal).hex()
+            single = replicate_il_payoff(grid, prices[-1].item())
+            assert type(single) is float and single.hex() == rows[-1].hex()
+        assert built >= 1500 and pinned >= 400
 
 
 @pytest.fixture(scope="module")

@@ -36,10 +36,23 @@ from .verify import _g17, run_verification, write_report
 _FIGURE_POINTS = 201
 
 
-def _locked_state(scenario: ScenarioConfig):
+def _locked_state(scenario: ScenarioConfig, user: str):
     if not scenario.position.locked:
-        raise DomainError("--strategy locked-lp needs a locked position: position.locked is false")
+        raise DomainError(f"{user} needs a locked position: position.locked is false")
     return scenario.lp_state()
+
+
+# every command's --config PATH, passed on as the parsed scenario; the callback looks
+# load_config up at call time, so a wrapper installed over it (a tracer) still sees each load
+_config_option = click.option("--config", "scenario", required=True,
+                              callback=lambda ctx, param, path: load_config(path),
+                              type=click.Path(exists=True, dir_okay=False),
+                              help="Scenario JSON file.")
+
+
+def _write_json(out_path: Optional[str], record: dict) -> None:
+    if out_path:
+        Path(out_path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 # strategy -> (price, greeks, tau of the decay factors its price uses), each read off a
@@ -48,8 +61,8 @@ STRATEGIES: dict[str, tuple[Callable, Callable, Callable]] = {
     "unlocked-lp": (lambda s: price_unlocked_lp(replace(s.lp_state(), locked=False)),
                     lambda s: greeks_unlocked_lp(replace(s.lp_state(), locked=False)),
                     lambda s: 0.0),
-    "locked-lp": (lambda s: price_locked_lp(_locked_state(s)),
-                  lambda s: greeks_locked_lp(_locked_state(s)),
+    "locked-lp": (lambda s: price_locked_lp(_locked_state(s, "--strategy locked-lp")),
+                  lambda s: greeks_locked_lp(_locked_state(s, "--strategy locked-lp")),
                   lambda s: s.lp_state().tau),
     "ig": (lambda s: price_ig(s.ig_contract(), s.spot, s.market),
            lambda s: greeks_ig(s.ig_contract(), s.spot, s.market),
@@ -92,14 +105,12 @@ def cli() -> None:
 
 
 @cli.command("price")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False), help="Scenario JSON file.")
+@_config_option
 @click.option("--strategy", required=True, type=click.Choice(tuple(STRATEGIES)))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the machine-readable record to this path.")
-def cmd_price(config_path: str, strategy: str, out_path: Optional[str]) -> None:
+def cmd_price(scenario: ScenarioConfig, strategy: str, out_path: Optional[str]) -> None:
     """Price one strategy, echoing the decay factors and all inputs."""
-    scenario = load_config(config_path)
     price, _, tau = STRATEGIES[strategy]
     value = price(scenario)
     d = decay_factors(scenario.market, tau(scenario))
@@ -110,8 +121,7 @@ def cmd_price(config_path: str, strategy: str, out_path: Optional[str]) -> None:
     click.echo(f"beta:       {_g17(d.beta)}")
     click.echo(f"gamma_disc: {_g17(d.gamma_disc)}")
     click.echo("inputs:     " + json.dumps(record["inputs"], sort_keys=True))
-    if out_path:
-        Path(out_path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_json(out_path, record)
 
 
 def _greeks_record(report: GreeksReport) -> dict:
@@ -122,13 +132,11 @@ def _greeks_record(report: GreeksReport) -> dict:
 
 
 @cli.command("greeks")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_config_option
 @click.option("--strategy", required=True, type=click.Choice(tuple(STRATEGIES)))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def cmd_greeks(config_path: str, strategy: str, out_path: Optional[str]) -> None:
+def cmd_greeks(scenario: ScenarioConfig, strategy: str, out_path: Optional[str]) -> None:
     """Print the seven greeks, raw and display-scaled."""
-    scenario = load_config(config_path)
     _, greeks_of, _ = STRATEGIES[strategy]
     greeks = _greeks_record(greeks_of(scenario))
     click.echo(f"strategy: {strategy}")
@@ -138,41 +146,28 @@ def cmd_greeks(config_path: str, strategy: str, out_path: Optional[str]) -> None
             key, text, _ = _DISPLAY_SCALES[name]
             line += f"   ({text}: {_g17(greeks[key])})"
         click.echo(line)
-    if out_path:
-        record = {"strategy": strategy, "greeks": greeks, "inputs": scenario.to_dict()}
-        Path(out_path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_json(out_path, {"strategy": strategy, "greeks": greeks, "inputs": scenario.to_dict()})
 
 
 @cli.command("table")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_config_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the table as CSV to this path.")
-def cmd_table(config_path: str, out_path: Optional[str]) -> None:
+def cmd_table(scenario: ScenarioConfig, out_path: Optional[str]) -> None:
     """Side-by-side greeks of the unlocked LP, locked LP and gain contract."""
-    scenario = load_config(config_path)
-    locked_state = scenario.lp_state()
-    if not locked_state.locked:
-        raise DomainError("the comparison table needs a locked position in the config")
-    table = greeks_table(
-        replace(locked_state, locked=False),
-        locked_state,
-        scenario.ig_contract(),
-        scenario.market,
-        scenario.spot,
-    )
+    locked_state = _locked_state(scenario, "table")
+    table = greeks_table(replace(locked_state, locked=False), locked_state,
+                         scenario.ig_contract(), scenario.market, scenario.spot)
     click.echo(table.as_text())
     if out_path:
         Path(out_path).write_text(table.as_csv())
 
 
 @cli.command("hedge")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_config_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def cmd_hedge(config_path: str, out_path: Optional[str]) -> None:
+def cmd_hedge(scenario: ScenarioConfig, out_path: Optional[str]) -> None:
     """Greeks of the locked position hedged with the gain contract."""
-    scenario = load_config(config_path)
     hedged = hedge_report(scenario.lp_state(), scenario.ig_contract(),
                           scenario.market, scenario.spot)
     click.echo(f"{'greek':<10}{'locked_lp':>22}{'ig':>22}{'sum':>22}")
@@ -183,15 +178,9 @@ def cmd_hedge(config_path: str, out_path: Optional[str]) -> None:
     click.echo(f"predicted delta sum: {_g17(hedged.delta_pred)}")
     click.echo(f"predicted theta sum: {_g17(hedged.theta_pred)}")
     click.echo(f"predicted rho sum:   {_g17(hedged.rho_pred)}")
-    if out_path:
-        record = {leg: _greeks_record(getattr(hedged, leg)) for leg in ("lp", "ig", "total")}
-        record.update({
-            "delta_pred": hedged.delta_pred,
-            "theta_pred": hedged.theta_pred,
-            "rho_pred": hedged.rho_pred,
-            "inputs": scenario.to_dict(),
-        })
-        Path(out_path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    legs = {leg: _greeks_record(getattr(hedged, leg)) for leg in ("lp", "ig", "total")}
+    _write_json(out_path, {**legs, "delta_pred": hedged.delta_pred, "theta_pred": hedged.theta_pred,
+                           "rho_pred": hedged.rho_pred, "inputs": scenario.to_dict()})
 
 
 def _spot_figure(scenario: ScenarioConfig, prefix: str, field: Optional[str]):
@@ -223,14 +212,12 @@ for _field in (None, *GREEK_LABELS):
 
 
 @cli.command("figure")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_config_option
 @click.option("--figure", "figure_id", required=True,
               type=click.Choice(sorted(FIGURES)))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def cmd_figure(config_path: str, figure_id: str, out_path: str) -> None:
+def cmd_figure(scenario: ScenarioConfig, figure_id: str, out_path: str) -> None:
     """Write one figure as a two-column CSV (abscissa, closed-form value)."""
-    scenario = load_config(config_path)
     x_label, points = FIGURES[figure_id](scenario)
     lines = [f"{x_label},value"] + [f"{_g17(x)},{_g17(y)}" for x, y in points]
     Path(out_path).write_text("\n".join(lines) + "\n")
@@ -238,17 +225,15 @@ def cmd_figure(config_path: str, figure_id: str, out_path: str) -> None:
 
 
 @cli.command("verify")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_config_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write the report CSV to this path.")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
               help="Override mc.seed.")
 @click.option("--paths", type=click.IntRange(min=1), default=None, help="Override mc.n_paths.")
-def cmd_verify(config_path: str, out_path: Optional[str],
+def cmd_verify(scenario: ScenarioConfig, out_path: Optional[str],
                seed: Optional[int], paths: Optional[int]) -> None:
     """Run the full oracle suite; exit 1 if any check fails."""
-    scenario = load_config(config_path)
     overrides = {key: value for key, value in (("seed", seed), ("n_paths", paths))
                  if value is not None}
     if scenario.mc is not None and overrides:

@@ -45,8 +45,25 @@ class MarketParams:
         return cls(r_x=r_f, r_y=0.0, sigma=sigma, phi=phi)
 
 
+class _Clock:
+    """The t/maturity_T check and tau shared by LpState and IgContract. It has no
+    fields: each subclass declares t and maturity_T in its own positional order."""
+
+    def __post_init__(self) -> None:
+        require_non_negative("t", self.t)
+        require_finite("maturity_T", self.maturity_T)
+        if self.maturity_T < self.t:
+            raise DomainError(
+                f"maturity_T must be >= t, got T={self.maturity_T!r} < t={self.t!r}")
+
+    @property
+    def tau(self) -> float:
+        """Remaining time to maturity (for an LP position, to unlock)."""
+        return self.maturity_T - self.t
+
+
 @dataclass(frozen=True)
-class LpState:
+class LpState(_Clock):
     """A priced LP scenario: position, market, current spot and clock."""
 
     position: PoolPosition
@@ -58,20 +75,11 @@ class LpState:
 
     def __post_init__(self) -> None:
         require_positive("s_t", self.s_t)
-        require_non_negative("t", self.t)
-        require_finite("maturity_T", self.maturity_T)
-        if self.maturity_T < self.t:
-            raise DomainError(
-                f"maturity_T must be >= t, got T={self.maturity_T!r} < t={self.t!r}")
-
-    @property
-    def tau(self) -> float:
-        """Remaining time to unlock."""
-        return self.maturity_T - self.t
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class IgContract:
+class IgContract(_Clock):
     """Terms of one Impermanent Gain contract.
 
     The strike is the reference price from which the payoff return
@@ -86,15 +94,7 @@ class IgContract:
     def __post_init__(self) -> None:
         require_positive("notional_v0", self.notional_v0)
         require_positive("strike_k", self.strike_k)
-        require_non_negative("t", self.t)
-        require_finite("maturity_T", self.maturity_T)
-        if self.maturity_T < self.t:
-            raise DomainError(
-                f"maturity_T must be >= t, got T={self.maturity_T!r} < t={self.t!r}")
-
-    @property
-    def tau(self) -> float:
-        return self.maturity_T - self.t
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -112,15 +112,17 @@ class DecayFactors:
     carry: float
 
 
-def _exp(scale: float, exponent: float, formula: str, market: MarketParams,
-         tau: float) -> float:
-    """scale * exp(exponent), or a DomainError naming the formula, r_f, sigma
-    and tau where exp overflows or the product is inf (math.exp(inf) is inf)."""
+def _exp(scale: float, rate: float, tau: float, formula: str, market: MarketParams) -> float:
+    """scale * exp(rate * tau). It owns the tau = 0 limit: exactly scale, even where rate is
+    inf or nan (inf * 0 is nan). Elsewhere a DomainError names the formula, r_f, sigma and tau
+    where the value is not below inf: exp overflows, or rate is nan (inf - inf)."""
+    if tau == 0.0:
+        return scale
     try:
-        value = scale * math.exp(exponent)
+        value = scale * math.exp(rate * tau)
     except OverflowError:
         value = math.inf
-    if value == math.inf:
+    if not value < math.inf:
         raise DomainError(f"{formula} overflow at r_f={market.r_f!r}, "
                           f"sigma={market.sigma!r}, tau={tau!r}")
     return value
@@ -131,29 +133,24 @@ def decay_factors(market: MarketParams, tau: float) -> DecayFactors:
     require_non_negative("tau", tau)
     r_f = market.r_f
     carry = 0.5 * r_f + market.sigma * market.sigma / 8.0
-    if tau == 0.0:  # exactly 1 even where sigma^2 overflows (inf * 0 is nan)
-        return DecayFactors(beta=1.0, gamma_disc=1.0, carry=carry)
     formula = "decay factors exp(-carry*tau), exp(-r_f*tau)"
-    return DecayFactors(beta=_exp(1.0, -carry * tau, formula, market, tau),
-                        gamma_disc=_exp(1.0, -r_f * tau, formula, market, tau), carry=carry)
+    return DecayFactors(beta=_exp(1.0, -carry, tau, formula, market),
+                        gamma_disc=_exp(1.0, -r_f, tau, formula, market), carry=carry)
 
 
 def expected_sqrt_price(s_t: float, market: MarketParams, tau: float) -> float:
     """Risk-neutral mean of sqrt(S_T): sqrt(s_t) * exp((r_f/2 - sigma^2/8) * tau)."""
     require_positive("s_t", s_t)
     require_non_negative("tau", tau)
-    if tau == 0.0:  # as in decay_factors: an overflowing sigma^2 times 0 is nan
-        return math.sqrt(s_t)
-    exponent = (0.5 * market.r_f - market.sigma * market.sigma / 8.0) * tau
-    return _exp(math.sqrt(s_t), exponent, "sqrt moment exp((r_f/2 - sigma^2/8)*tau)",
-                market, tau)
+    return _exp(math.sqrt(s_t), 0.5 * market.r_f - market.sigma * market.sigma / 8.0, tau,
+                "sqrt moment exp((r_f/2 - sigma^2/8)*tau)", market)
 
 
 def forward_price(s_t: float, market: MarketParams, tau: float) -> float:
     """Risk-neutral mean of S_T: s_t * exp(r_f * tau)."""
     require_positive("s_t", s_t)
     require_non_negative("tau", tau)
-    return _exp(s_t, market.r_f * tau, "forward exp(r_f*tau)", market, tau)
+    return _exp(s_t, market.r_f, tau, "forward exp(r_f*tau)", market)
 
 
 def lp_premium(v0: float, s0: float, s_t: float, market: MarketParams,

@@ -12,14 +12,14 @@ bit-reproducible; grids are immutable after construction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DomainError, require_non_negative, require_positive
+from .errors import DomainError, require_finite, require_non_negative, require_positive
 from .pricing import IgContract, MarketParams, decay_factors, forward_price
 
 _TEST_RATIOS = np.array((0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0))
@@ -193,23 +193,24 @@ def _black_values(strikes, s_t: float, market: MarketParams, tau: float,
     """Lognormal forward-model premiums, discounted at the rate differential.
 
     At tau = 0 or sigma = 0 this degenerates to discounted intrinsic value on
-    the forward.
+    the forward. d saturates to +-inf for a vanishing vol or a forward/strike
+    ratio that overflows or underflows to 0, and ndtr then yields intrinsic
+    value; those intended limits do not warn. An overflowing premium is inf.
     """
     strikes = np.asarray(strikes, dtype=float)
     forward = forward_price(s_t, market, tau)
     disc = decay_factors(market, tau).gamma_disc
     vol = market.sigma * math.sqrt(tau)
-    if vol == 0.0:
-        intrinsic = np.maximum(forward - strikes, 0.0) if is_call \
-            else np.maximum(strikes - forward, 0.0)
-        return disc * intrinsic
-    with np.errstate(over="ignore"):
-        # d saturates to +-inf for vanishing vol; ndtr then yields intrinsic
-        d1 = np.log(forward / strikes) / vol + 0.5 * vol
-        d2 = d1 - vol
-    if is_call:
-        return disc * (forward * ndtr(d1) - strikes * ndtr(d2))
-    return disc * (strikes * ndtr(-d2) - forward * ndtr(-d1))
+    with np.errstate(over="ignore", divide="ignore"):
+        if vol == 0.0:
+            undiscounted = np.maximum(forward - strikes, 0.0) if is_call \
+                else np.maximum(strikes - forward, 0.0)
+        else:
+            d1 = np.log(forward / strikes) / vol + 0.5 * vol
+            d2 = d1 - vol
+            undiscounted = forward * ndtr(d1) - strikes * ndtr(d2) if is_call \
+                else strikes * ndtr(-d2) - forward * ndtr(-d1)
+        return disc * undiscounted
 
 
 def vanilla_price(strike: float, s_t: float, market: MarketParams, tau: float,
@@ -220,7 +221,8 @@ def vanilla_price(strike: float, s_t: float, market: MarketParams, tau: float,
     require_non_negative("tau", tau)
     if kind not in ("put", "call"):
         raise DomainError(f"kind must be 'put' or 'call', got {kind!r}")
-    premium = float(_black_values(strike, s_t, market, tau, kind == "call"))
+    premium = require_finite(f"{kind} premium",
+                             float(_black_values(strike, s_t, market, tau, kind == "call")))
     return VanillaQuote(strike=float(strike), tau=float(tau), kind=kind, premium=premium)
 
 
@@ -238,8 +240,8 @@ def price_ig_via_strip(contract: IgContract, s_t: float, market: MarketParams,
     tau = contract.tau
     puts = _black_values(grid.put_strikes, s_t, market, tau, is_call=False)
     calls = _black_values(grid.call_strikes, s_t, market, tau, is_call=True)
-    total = float(np.sum(puts * grid.put_weights) + np.sum(calls * grid.call_weights))
-    return contract.notional_v0 * total
+    total = np.sum(puts * grid.put_weights) + np.sum(calls * grid.call_weights)
+    return require_finite("strip premium", contract.notional_v0 * float(total))
 
 
 def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketParams,
@@ -259,9 +261,11 @@ def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketPara
     if vol == 0.0:
         p_put = 1.0 if forward <= grid.lower_cut else 0.0
         p_call = 1.0 if forward >= grid.upper_cut else 0.0
-    else:
-        p_put = float(ndtr(-(math.log(forward / grid.lower_cut) / vol - 0.5 * vol)))
-        p_call = float(ndtr(math.log(forward / grid.upper_cut) / vol + 0.5 * vol))
+    else:  # a forward that underflows against a cut takes the d -> -inf limit
+        d_put, d_call = (math.log(ratio) / vol if ratio > 0.0 else -math.inf
+                         for ratio in (forward / grid.lower_cut, forward / grid.upper_cut))
+        p_put = float(ndtr(-(d_put - 0.5 * vol)))
+        p_call = float(ndtr(d_call + 0.5 * vol))
     put_tail = disc * p_put * math.sqrt(grid.lower_cut) / (2.0 * math.sqrt(s0))
     call_tail = disc * forward * p_call / (2.0 * math.sqrt(grid.upper_cut * s0))
     return contract.notional_v0 * (grid.error_estimate + (put_tail + call_tail))
@@ -269,10 +273,8 @@ def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketPara
 
 def write_grid_csv(grid: StrikeGrid, path) -> None:
     """Audit dump: one row per strike with its folded weight and option kind."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["strike", "weight", "kind"])
-        for strike, weight in zip(grid.put_strikes, grid.put_weights):
-            writer.writerow([format(strike, ".17g"), format(weight, ".17g"), "put"])
-        for strike, weight in zip(grid.call_strikes, grid.call_weights):
-            writer.writerow([format(strike, ".17g"), format(weight, ".17g"), "call"])
+    lines = ["strike,weight,kind"]
+    for kind, strikes, weights in (("put", grid.put_strikes, grid.put_weights),
+                                   ("call", grid.call_strikes, grid.call_weights)):
+        lines += [f"{strike:.17g},{weight:.17g},{kind}" for strike, weight in zip(strikes, weights)]
+    Path(path).write_text("\n".join(lines) + "\n")

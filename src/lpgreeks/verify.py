@@ -102,8 +102,6 @@ def run_verification(scenario: ScenarioConfig) -> list[CheckResult]:
     an mc block."""
     if scenario.mc is None:
         raise ConfigError("mc: block is required for verification")
-    if scenario.ig is None:
-        raise ConfigError("ig: block is required for verification")
     if not scenario.position.locked:
         raise ConfigError("position.locked: verification prices the locked position")
 

@@ -300,6 +300,8 @@ class TestTableCommand:
         path = write_config(tmp_path, data)
         result = runner.invoke(cli, ["table", "--config", str(path)])
         assert result.exit_code == 3
+        assert result.stderr == ("domain error: table needs a locked position: "
+                                 "position.locked is false\n")
 
 
 class TestFigureCommand:
@@ -564,6 +566,24 @@ class TestErrorMapping:
         assert result.exit_code == 2
         assert result.output == "config error: market: expected an object, got int\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(cli.commands))
+    def test_every_command_reports_invalid_json(self, runner, tmp_path, command):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"market": ')
+        result = runner.invoke(cli, [command, "--config", str(path), *COMMAND_ARGS[command],
+                                     "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "config error: invalid JSON at line 1, column 12: Expecting value\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_config_is_reported_before_a_missing_option_after_it(self, runner, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"market": ')
+        result = runner.invoke(cli, ["price", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == "config error: invalid JSON at line 1, column 12: Expecting value\n"
 
     @pytest.mark.parametrize("mutate,message", [
         (lambda d: d.update(ig={"k": 1000}), "ig.T: required field is missing"),

@@ -12,6 +12,8 @@ from lpgreeks import (
     IgContract,
     MarketParams,
     build_strike_grid,
+    decay_factors,
+    forward_price,
     impermanent_loss,
     price_ig,
     price_ig_via_strip,
@@ -319,6 +321,18 @@ class TestStripPricing:
             errors.append(abs(price_ig_via_strip(contract, 1000.0, market, grid) - closed))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse
+
+    def test_bound_takes_the_limit_where_the_forward_underflows(self):
+        # the forward 1e-300 * exp(-700) underflows to 0, so d -> -inf: the whole put tail
+        # counts and no call tail does
+        market = MarketParams.from_rate_differential(-700.0, 0.7, 0.0)
+        contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=1.0, t=0.0)
+        grid = build_strike_grid(1000.0, 0.7, 1.0)
+        assert forward_price(1e-300, market, 1.0) == 0.0
+        put_tail = (decay_factors(market, 1.0).gamma_disc * math.sqrt(grid.lower_cut)
+                    / (2.0 * math.sqrt(1000.0)))
+        assert strip_price_error_bound(contract, 1e-300, market, grid) == (
+            1e4 * (grid.error_estimate + put_tail))
 
     def test_rejects_off_center_grid(self, week_setup):
         market, _, grid = week_setup

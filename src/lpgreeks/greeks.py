@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .errors import DomainError, HedgeMismatchError, require_finite, require_positive
-from .pricing import IgContract, LpState, MarketParams, decay_factors
+from .pricing import IgContract, LpState, MarketParams, _factors, decay_factors
 
 _CANCEL_TOL = 1e-10
 
@@ -101,22 +101,25 @@ def greeks_locked_lp(state: LpState) -> GreeksReport:
     """
     if not state.locked:
         raise DomainError("state is unlocked; use greeks_unlocked_lp")
-    v0 = state.position.notional_v0
-    s0 = state.position.entry_price_s0
-    s = state.s_t
-    m = state.market
     tau = state.tau
-    d = decay_factors(m, tau)
+    return _locked_lp(state, state.s_t, tau, _factors(state.market, tau))
+
+
+def _locked_lp(state: LpState, s: float, tau: float, factors: tuple) -> GreeksReport:
+    """The greeks_locked_lp body at spot s, given state.tau and its _factors tuple."""
+    beta, gamma_disc, carry = factors
+    v0, s0 = state.position.notional_v0, state.position.entry_price_s0
+    m = state.market
     moneyness = math.sqrt(s / s0)
-    fee_leg = m.phi * state.maturity_T * d.gamma_disc
+    fee_leg = m.phi * state.maturity_T * gamma_disc
     delta_den, gamma_den = _spot_denominators(s0, s)
     return GreeksReport.at_spot(
         s,
-        delta=v0 * d.beta / delta_den,
-        gamma=-v0 * d.beta / gamma_den,
-        vega=-v0 * (m.sigma * tau / 4.0) * moneyness * d.beta,
-        theta=v0 * (moneyness * d.carry * d.beta + m.r_f * fee_leg),
-        rho=-v0 * ((tau / 2.0) * moneyness * d.beta + tau * fee_leg),
+        delta=v0 * beta / delta_den,
+        gamma=-v0 * beta / gamma_den,
+        vega=-v0 * (m.sigma * tau / 4.0) * moneyness * beta,
+        theta=v0 * (moneyness * carry * beta + m.r_f * fee_leg),
+        rho=-v0 * ((tau / 2.0) * moneyness * beta + tau * fee_leg),
     )
 
 
@@ -128,19 +131,24 @@ def greeks_ig(contract: IgContract, s_t: float, market: MarketParams) -> GreeksR
     pool entry price. delta at the strike is V0*(1-beta)/(2K) > 0 for beta < 1.
     """
     require_positive("s_t", s_t)
-    v0 = contract.notional_v0
-    k = contract.strike_k
     tau = contract.tau
-    d = decay_factors(market, tau)
+    return _ig(contract, s_t, market, tau, _factors(market, tau))
+
+
+def _ig(contract: IgContract, s_t: float, market: MarketParams, tau: float,
+        factors: tuple) -> GreeksReport:
+    """The greeks_ig body, given contract.tau and its _factors tuple."""
+    beta, gamma_disc, carry = factors
+    v0, k = contract.notional_v0, contract.strike_k
     moneyness = math.sqrt(s_t / k)
     delta_den, gamma_den = _spot_denominators(k, s_t)
     return GreeksReport.at_spot(
         s_t,
-        delta=v0 * (1.0 / (2.0 * k) - d.beta / delta_den),
-        gamma=v0 * d.beta / gamma_den,
-        vega=v0 * (market.sigma * tau / 4.0) * moneyness * d.beta,
-        theta=v0 * (0.5 * market.r_f * d.gamma_disc - moneyness * d.carry * d.beta),
-        rho=(v0 * tau / 2.0) * (moneyness * d.beta - d.gamma_disc),
+        delta=v0 * (1.0 / (2.0 * k) - beta / delta_den),
+        gamma=v0 * beta / gamma_den,
+        vega=v0 * (market.sigma * tau / 4.0) * moneyness * beta,
+        theta=v0 * (0.5 * market.r_f * gamma_disc - moneyness * carry * beta),
+        rho=(v0 * tau / 2.0) * (moneyness * beta - gamma_disc),
     )
 
 
@@ -167,12 +175,12 @@ class HedgedGreeks:
 
 
 def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) -> HedgedGreeks:
-    """Aggregate greeks of the hedged book, revalued at spot s_t.
+    """Aggregate greeks of the hedged book, revalued at spot s_t: greeks_locked_lp of lp at
+    s_t and greeks_ig, bit for bit, from one evaluation of the position's decay factors.
 
-    Requires matching terms: the contract strike at the pool entry price, equal
-    notionals, equal maturities and a shared clock. Gamma and vega cancel at
-    the formula level; a residual beyond 1e-10 of the leg magnitude indicates a
-    broken formula and raises ArithmeticError.
+    Requires matching terms: the contract strike at the pool entry price, equal notionals, equal
+    maturities and a shared clock. Gamma and vega cancel at the formula level; a residual beyond
+    1e-10 of the leg magnitude indicates a broken formula and raises ArithmeticError.
     """
     if not lp.locked:
         raise HedgeMismatchError("hedge requires a locked position")
@@ -191,8 +199,11 @@ def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) 
     if market != lp.market:
         raise HedgeMismatchError("market parameters differ between the legs")
 
-    lp_g = greeks_locked_lp(replace(lp, s_t=s_t))
-    ig_g = greeks_ig(ig, s_t, market)
+    require_positive("s_t", s_t)
+    tau = lp.tau
+    factors = _factors(lp.market, tau)
+    lp_g = _locked_lp(lp, s_t, tau, factors)
+    ig_g = _ig(ig, s_t, market, ig.tau, factors)
     total = _sum_reports(lp_g, ig_g)
     for name in ("gamma", "vega"):
         residual = getattr(total, name)
@@ -200,7 +211,6 @@ def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) 
         if scale > 0.0 and abs(residual) > _CANCEL_TOL * scale:
             raise ArithmeticError(f"{name} legs failed to cancel: residual {residual!r}")
 
-    d = decay_factors(market, ig.tau)
     v0 = ig.notional_v0
     half_plus_fees = 0.5 + market.phi * ig.maturity_T
     return HedgedGreeks(
@@ -208,8 +218,8 @@ def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) 
         ig=ig_g,
         total=total,
         delta_pred=v0 / (2.0 * ig.strike_k),
-        theta_pred=require_finite("theta_pred", v0 * market.r_f * half_plus_fees * d.gamma_disc),
-        rho_pred=require_finite("rho_pred", -v0 * ig.tau * half_plus_fees * d.gamma_disc),
+        theta_pred=require_finite("theta_pred", v0 * market.r_f * half_plus_fees * factors[1]),
+        rho_pred=require_finite("rho_pred", -v0 * ig.tau * half_plus_fees * factors[1]),
     )
 
 

@@ -128,14 +128,18 @@ def _exp(scale: float, rate: float, tau: float, formula: str, market: MarketPara
     return value
 
 
-def decay_factors(market: MarketParams, tau: float) -> DecayFactors:
-    """Evaluate both decay factors over a remaining time tau."""
+def _factors(market: MarketParams, tau: float) -> tuple[float, float, float]:
+    """(beta, gamma_disc, carry) over a remaining time tau: the tuple the closed forms unpack."""
     require_non_negative("tau", tau)
     r_f = market.r_f
     carry = 0.5 * r_f + market.sigma * market.sigma / 8.0
     formula = "decay factors exp(-carry*tau), exp(-r_f*tau)"
-    return DecayFactors(beta=_exp(1.0, -carry, tau, formula, market),
-                        gamma_disc=_exp(1.0, -r_f, tau, formula, market), carry=carry)
+    return _exp(1.0, -carry, tau, formula, market), _exp(1.0, -r_f, tau, formula, market), carry
+
+
+def decay_factors(market: MarketParams, tau: float) -> DecayFactors:
+    """Both decay factors over a remaining time tau, with the bits the closed forms use."""
+    return DecayFactors(*_factors(market, tau))
 
 
 def expected_sqrt_price(s_t: float, market: MarketParams, tau: float) -> float:
@@ -162,16 +166,16 @@ def lp_premium(v0: float, s0: float, s_t: float, market: MarketParams,
     tau = 0 with fee_years = t is the redeemable value V0 * (sqrt(s_t/s0) + phi*t),
     bit for bit, since both factors are then exactly 1.
     """
-    d = decay_factors(market, tau)
+    beta, gamma_disc, _ = _factors(market, tau)
     return require_finite("LP premium", v0 * (
-        math.sqrt(s_t / s0) * d.beta + market.phi * fee_years * d.gamma_disc))
+        math.sqrt(s_t / s0) * beta + market.phi * fee_years * gamma_disc))
 
 
 def ig_premium(v0: float, k: float, s_t: float, market: MarketParams, tau: float) -> float:
     """Impermanent Gain premium V0 * (gamma_disc/2 + s_t/(2K) - sqrt(s_t/K) * beta)."""
-    d = decay_factors(market, tau)
+    beta, gamma_disc, _ = _factors(market, tau)
     return require_finite("IG premium", v0 * (
-        0.5 * d.gamma_disc + s_t / (2.0 * k) - math.sqrt(s_t / k) * d.beta))
+        0.5 * gamma_disc + s_t / (2.0 * k) - math.sqrt(s_t / k) * beta))
 
 
 def price_unlocked_lp(state: LpState) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError, require_finite, require_non_negative, require_positive
-from .pricing import IgContract, MarketParams, decay_factors, forward_price
+from .pricing import IgContract, MarketParams, _factors, forward_price
 
 _TEST_RATIOS = np.array((0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0))
 _N_START = 64
@@ -199,7 +199,7 @@ def _black_values(strikes, s_t: float, market: MarketParams, tau: float,
     """
     strikes = np.asarray(strikes, dtype=float)
     forward = forward_price(s_t, market, tau)
-    disc = decay_factors(market, tau).gamma_disc
+    disc = _factors(market, tau)[1]
     vol = market.sigma * math.sqrt(tau)
     with np.errstate(over="ignore", divide="ignore"):
         if vol == 0.0:
@@ -252,10 +252,10 @@ def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketPara
     Put side: premiums below lower_cut are bounded by disc * K * N(-d2(cut)),
     and the density integral of K below the cut is sqrt(cut)/(2*sqrt(s0)).
     Call side mirrors with disc * F * N(d1(cut)) and density mass
-    1/(2*sqrt(cut*s0)).
+    1/(2*sqrt(cut*s0)). A DomainError where the bound is not finite.
     """
     forward = forward_price(s_t, market, contract.tau)
-    disc = decay_factors(market, contract.tau).gamma_disc
+    disc = _factors(market, contract.tau)[1]
     vol = market.sigma * math.sqrt(contract.tau)
     s0 = grid.entry_price
     if vol == 0.0:
@@ -268,7 +268,8 @@ def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketPara
         p_call = float(ndtr(d_call + 0.5 * vol))
     put_tail = disc * p_put * math.sqrt(grid.lower_cut) / (2.0 * math.sqrt(s0))
     call_tail = disc * forward * p_call / (2.0 * math.sqrt(grid.upper_cut * s0))
-    return contract.notional_v0 * (grid.error_estimate + (put_tail + call_tail))
+    return require_finite("strip error bound",
+                          contract.notional_v0 * (grid.error_estimate + (put_tail + call_tail)))
 
 
 def write_grid_csv(grid: StrikeGrid, path) -> None:

@@ -42,18 +42,18 @@ def all_finite(result) -> bool:
 
 
 @settings(max_examples=300, deadline=None)
-@given(spot=positive, s0=positive, v0=positive, k=positive, r_x=rates, r_y=rates,
+@given(spot=positive, spot2=positive, s0=positive, v0=positive, k=positive, r_x=rates, r_y=rates,
        sigma=st.floats(0.0, 1e200), phi=st.floats(0.0, 1e300), clock=clocks)
 # the forward at tau = 0 where r_f overflows: inf * 0 in the exponent was nan
-@example(spot=1000.0, s0=1000.0, v0=1e4, k=1000.0, r_x=1.7e308, r_y=-1.7e308,
+@example(spot=1000.0, spot2=1000.0, s0=1000.0, v0=1e4, k=1000.0, r_x=1.7e308, r_y=-1.7e308,
          sigma=0.7, phi=0.1, clock=(0.0, 0.0))
 # the sqrt moment where r_f and sigma^2 both overflow: inf - inf in the rate was nan
-@example(spot=1000.0, s0=1000.0, v0=1e4, k=1000.0, r_x=1.7e308, r_y=-1.7e308,
+@example(spot=1000.0, spot2=1000.0, s0=1000.0, v0=1e4, k=1000.0, r_x=1.7e308, r_y=-1.7e308,
          sigma=1e200, phi=0.1, clock=(0.0, 1.0))
 # a put whose discounting overflows was inf
-@example(spot=1.0, s0=1.0, v0=1.0, k=1.2429969603937666e296, r_x=0.0, r_y=2.0,
+@example(spot=1.0, spot2=1.0, s0=1.0, v0=1.0, k=1.2429969603937666e296, r_x=0.0, r_y=2.0,
          sigma=0.0, phi=0.0, clock=(0.0, 14.0))
-def test_result_is_finite_or_domain_error(spot, s0, v0, k, r_x, r_y, sigma, phi, clock):
+def test_result_is_finite_or_domain_error(spot, spot2, s0, v0, k, r_x, r_y, sigma, phi, clock):
     t, maturity = clock
     tau = maturity - t
     market = MarketParams(r_x, r_y, sigma, phi)
@@ -76,6 +76,8 @@ def test_result_is_finite_or_domain_error(spot, s0, v0, k, r_x, r_y, sigma, phi,
         lambda: greeks_ig(IgContract(v0, k, maturity, t), spot, market),
         # matched terms: strike at the entry price, shared notional, maturity and clock
         lambda: hedge_report(state(True), IgContract(v0, s0, maturity, t), market, spot),
+        # the book revalued away from the position's own spot
+        lambda: hedge_report(state(True), IgContract(v0, s0, maturity, t), market, spot2),
     )
     for call in calls:
         try:

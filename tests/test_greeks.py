@@ -1,9 +1,11 @@
 import math
+import random
 from dataclasses import fields, replace
 
 import pytest
 
 from lpgreeks import (
+    DecayFactors,
     DomainError,
     HedgeMismatchError,
     IgContract,
@@ -20,6 +22,7 @@ from lpgreeks import (
     pool_from_deposit,
     price_locked_lp,
 )
+from lpgreeks import greeks, pricing
 from lpgreeks.greeks import GREEK_LABELS, GreeksReport
 
 POOL = pool_from_deposit(10000.0, 1000.0)
@@ -379,3 +382,105 @@ def test_overflowing_gamma_denominator_gives_a_zero_gamma(strategy, half_year_ma
         sign = -1.0
     assert all(math.isfinite(getattr(report, name)) for name in GREEK_LABELS)
     assert report.gamma == 0.0 and math.copysign(1.0, report.gamma) == sign
+
+
+def _hexes(report: GreeksReport) -> tuple:
+    return tuple(getattr(report, name).hex() for name in GREEK_LABELS)
+
+
+def _outcome(call):
+    """call's result, or the text of the DomainError it raised."""
+    try:
+        return call()
+    except DomainError as exc:
+        return str(exc)
+
+
+def _flip_zero(x: float) -> float:
+    """x, or the other signed zero: equal under ==, but not the same bits."""
+    return -x if x == 0.0 else x
+
+
+def _hedge_case(rng: random.Random) -> tuple:
+    """(lp, ig, market, s_t) with matched terms. The contract clock and the hedge's market
+    may differ from the position's in the sign of a zero, rates run from 0 (either sign) to
+    overflowing exp, and the spot is lp.s_t, another spot, or one the state rejects."""
+    def rate():
+        return rng.choice([0.0, -0.0, rng.uniform(-0.2, 0.2), rng.uniform(-800.0, 800.0)])
+
+    sigma = rng.choice([0.0, -0.0, rng.uniform(0.0, 2.0), rng.uniform(0.0, 60.0)])
+    market = MarketParams(rate(), rate(), sigma, rng.choice([0.0, -0.0, rng.uniform(0.0, 1.0)]))
+    t = rng.choice([0.0, -0.0, rng.uniform(0.0, 2.0)])
+    maturity = rng.choice([t, t + rng.uniform(0.0, 3.0)])
+    v0, s0 = (math.exp(rng.uniform(-20.0, 20.0)) for _ in range(2))
+    lp = LpState(pool_from_deposit(v0, s0), market, s0 * math.exp(rng.uniform(-3.0, 3.0)),
+                 t, maturity, locked=True)
+    ig = IgContract(v0, s0, *(_flip_zero(x) if rng.random() < 0.5 else x for x in (maturity, t)))
+    s_t = rng.choice([lp.s_t, s0 * math.exp(rng.uniform(-300.0, 300.0)),
+                      rng.choice([0.0, -1.0, math.nan, math.inf])] + [
+                      s0 * math.exp(rng.uniform(-3.0, 3.0))] * 3)
+    hedge_market = MarketParams(*(_flip_zero(getattr(market, f.name)) for f in fields(market)))
+    return lp, ig, hedge_market, s_t
+
+
+class TestHedgeParity:
+    """hedge_report evaluates the decay factors once and revalues the position at s_t without
+    rebuilding it; its legs must keep the bits, and its errors the text, of the public greeks
+    on the rebuilt state."""
+
+    def test_legs_equal_the_public_greeks_on_the_rebuilt_state(self):
+        rng = random.Random(20261018)
+        outcomes = set()
+        for _ in range(3000):
+            lp, ig, market, s_t = _hedge_case(rng)
+            for m in (lp.market, market):
+                assert _outcome(lambda: decay_factors(m, lp.tau)) == _outcome(
+                    lambda: DecayFactors(*pricing._factors(m, lp.tau)))
+            want = _outcome(lambda: (_hexes(greeks_locked_lp(replace(lp, s_t=s_t))),
+                                     _hexes(greeks_ig(ig, s_t, market))))
+            try:
+                hedged = hedge_report(lp, ig, market, s_t)
+            except DomainError as exc:
+                got = str(exc)
+                if not isinstance(want, str):  # the legs passed; a prediction overflowed
+                    assert got.startswith(("theta_pred", "rho_pred")), got
+                    got = want
+            except ArithmeticError as exc:  # the legs passed and failed to cancel
+                assert isinstance(want, tuple) and "failed to cancel" in str(exc)
+                got = want
+            else:
+                got = (_hexes(hedged.lp), _hexes(hedged.ig))
+                gamma_disc = decay_factors(market, ig.tau).gamma_disc
+                half_plus_fees = 0.5 + market.phi * ig.maturity_T
+                assert hedged.theta_pred.hex() == (
+                    ig.notional_v0 * market.r_f * half_plus_fees * gamma_disc).hex()
+                assert hedged.rho_pred.hex() == (
+                    -ig.notional_v0 * ig.tau * half_plus_fees * gamma_disc).hex()
+            assert got == want
+            outcomes.add("error" if isinstance(want, str) else
+                         "same spot" if s_t == lp.s_t else "other spot")
+        assert outcomes == {"error", "same spot", "other spot"}
+
+    @pytest.mark.parametrize("s_t", [0.0, -1.0, math.nan, math.inf])
+    def test_a_rejected_spot_reads_as_the_rebuilt_state_did(self, s_t, hedge_year,
+                                                            half_year_market):
+        lp, ig = hedge_year
+        with pytest.raises(DomainError) as rebuilt:
+            replace(lp, s_t=s_t)
+        with pytest.raises(DomainError) as hedged:
+            hedge_report(lp, ig, half_year_market, s_t)
+        assert str(hedged.value) == str(rebuilt.value)
+
+    def test_factors_are_evaluated_once(self, monkeypatch, hedge_year, half_year_market):
+        calls = []
+
+        def counting(market, tau):
+            calls.append(tau)
+            return original(market, tau)
+
+        original = pricing._factors
+        monkeypatch.setattr(pricing, "_factors", counting)  # decay_factors looks here
+        monkeypatch.setattr(greeks, "_factors", counting)
+        lp, ig = hedge_year
+        hedge_report(lp, ig, half_year_market, 1100.0)
+        assert calls == [lp.tau]

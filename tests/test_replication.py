@@ -334,6 +334,18 @@ class TestStripPricing:
         assert strip_price_error_bound(contract, 1e-300, market, grid) == (
             1e4 * (grid.error_estimate + put_tail))
 
+    def test_bound_that_overflows_is_a_domain_error(self):
+        # disc = exp(626 * 1.1) ~ 1e300 times sqrt(lower_cut) ~ 1e47 overflows: the bound
+        # was inf with no error, while the strip premium already raised
+        sigma, k = 0.990324246616246, 3.2226522495246463e98
+        market = MarketParams.from_rate_differential(-626.1458637202832, sigma, 0.0)
+        contract = IgContract(notional_v0=1e4, strike_k=k, maturity_T=1.1051390084673074, t=0.0)
+        grid = build_strike_grid(k, sigma, contract.tau, target_tol=1e-2)
+        with pytest.raises(DomainError, match="strip premium must be finite"):
+            price_ig_via_strip(contract, 3.126885723089303e100, market, grid)
+        with pytest.raises(DomainError, match="strip error bound must be finite, got inf"):
+            strip_price_error_bound(contract, 3.126885723089303e100, market, grid)
+
     def test_rejects_off_center_grid(self, week_setup):
         market, _, grid = week_setup
         shifted = IgContract(notional_v0=10000.0, strike_k=1111.0,

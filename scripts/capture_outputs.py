@@ -5,7 +5,7 @@ Usage: PYTHONPATH=src python scripts/capture_outputs.py OUTDIR
 The commands run in-process through click's CliRunner: price and greeks for
 each strategy, hedge, table, every figure, and verify at the config's own seed
 and at --seed 7 --paths 200000. Each runs on the shipped configs, on an
-unlocked copy of locked-half-year.json and on five extreme-value variants of
+unlocked copy of locked-half-year.json and on six extreme-value variants of
 it. OUTDIR/<config>/<run>.txt holds the command line, the exit code, stdout,
 stderr and the --out file, with the temporary directory written as <tmp>.
 
@@ -37,6 +37,7 @@ VARIANTS = {
     "rate-minus-200": lambda d: (d["market"].update(r_f=-200), d["position"].update(T=5),
                                  d["ig"].update(T=5)),
     "pool-invariant-0": lambda d: d["position"].update(v0=1e-300, s0=1e300),
+    "entry-1e308": lambda d: d["position"].update(s0=1e308),
     "sigma-0": lambda d: d["market"].update(sigma=0),
 }
 

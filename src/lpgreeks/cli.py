@@ -125,7 +125,7 @@ def cmd_price(scenario: ScenarioConfig, strategy: str, out_path: Optional[str]) 
 
 
 def _greeks_record(report: GreeksReport) -> dict:
-    record = {name: getattr(report, name) for name in GREEK_LABELS}
+    record = report._asdict()
     for name, (key, _, divisor) in _DISPLAY_SCALES.items():
         record[key] = record[name] / divisor
     return record
@@ -171,10 +171,8 @@ def cmd_hedge(scenario: ScenarioConfig, out_path: Optional[str]) -> None:
     hedged = hedge_report(scenario.lp_state(), scenario.ig_contract(),
                           scenario.market, scenario.spot)
     click.echo(f"{'greek':<10}{'locked_lp':>22}{'ig':>22}{'sum':>22}")
-    for name in GREEK_LABELS:
-        click.echo(f"{name:<10}{getattr(hedged.lp, name):>22.12g}"
-                   f"{getattr(hedged.ig, name):>22.12g}"
-                   f"{getattr(hedged.total, name):>22.12g}")
+    for name, lp, ig, total in zip(GREEK_LABELS, hedged.lp, hedged.ig, hedged.total):
+        click.echo(f"{name:<10}{lp:>22.12g}{ig:>22.12g}{total:>22.12g}")
     click.echo(f"predicted delta sum: {_g17(hedged.delta_pred)}")
     click.echo(f"predicted theta sum: {_g17(hedged.theta_pred)}")
     click.echo(f"predicted rho sum:   {_g17(hedged.rho_pred)}")

@@ -10,8 +10,9 @@ vol, per day, per 1% rate) are applied at presentation time only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, HedgeMismatchError, require_finite, require_positive
 from .pricing import IgContract, LpState, MarketParams, _factors, decay_factors
@@ -32,12 +33,15 @@ GREEK_LABELS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class GreeksReport:
-    """Price sensitivities of one strategy, in token-y units.
+class GreeksReport(NamedTuple):
+    """Price sensitivities of one strategy, in token-y units: an immutable record.
 
     delta_pct and gamma_pct are the P&L responses to a 1% spot move:
     delta * s_t/100 and gamma * (s_t/100)^2.
+
+    A report is a tuple of its seven values in the order of GREEK_LABELS: it
+    iterates, unpacks and equals a plain tuple of the same values; _fields,
+    _replace and _asdict take the place of the dataclasses helpers.
     """
 
     delta: float
@@ -55,7 +59,7 @@ class GreeksReport:
         columns; DomainError if any value is not finite."""
         move = s_t / 100.0
         values = (delta, delta * move, gamma, gamma * move * move, vega, theta, rho)
-        report = cls(*values)
+        report = cls._make(values)
         if not all(map(math.isfinite, values)):
             raise DomainError(f"non-finite greeks: {report}")
         return report
@@ -153,12 +157,12 @@ def _ig(contract: IgContract, s_t: float, market: MarketParams, tau: float,
 
 
 def _sum_reports(a: GreeksReport, b: GreeksReport) -> GreeksReport:
-    return GreeksReport(*[getattr(a, name) + getattr(b, name) for name in GREEK_LABELS])
+    return GreeksReport._make(map(operator.add, a, b))
 
 
-@dataclass(frozen=True)
-class HedgedGreeks:
-    """Greeks of a locked position hedged one-for-one with the gain contract.
+class HedgedGreeks(NamedTuple):
+    """Greeks of a locked position hedged one-for-one with the gain contract: an
+    immutable record, a tuple of its six fields like GreeksReport.
 
     total holds the component-wise sums. The predictions are the closed-form
     collapsed sums, independent of both the spot and the volatility:
@@ -235,13 +239,7 @@ class GreeksTable:
     s_t: float
 
     def rows(self) -> Iterator[tuple[str, float, float, float]]:
-        for field_name, label in GREEK_LABELS.items():
-            yield (
-                label,
-                getattr(self.unlocked, field_name),
-                getattr(self.locked, field_name),
-                getattr(self.ig, field_name),
-            )
+        return zip(GREEK_LABELS.values(), self.unlocked, self.locked, self.ig)
 
     def as_text(self) -> str:
         header = f"{'Greek':<10}{'Unlocked LP':>20}{'Locked LP':>20}{'Impermanent Gain':>20}"

@@ -72,17 +72,23 @@ def pool_from_deposit(v0: float, s0: float) -> PoolPosition:
     """Entry position for a deposit worth v0 token-y at price s0.
 
     The equal-value split puts v0/2 into each leg: x0 = v0/(2*s0), y0 = v0/2,
-    and the pool constant is L = v0 / (2*sqrt(s0)).
+    and the pool constant is L = v0 / (2*sqrt(s0)). A DomainError names v0 and
+    s0 where a derived value is not a positive float or the split loses its
+    invariants to rounding.
     """
     require_positive("v0", v0)
     require_positive("s0", s0)
-    return PoolPosition(
-        invariant_l=v0 / (2.0 * math.sqrt(s0)),
-        entry_price_s0=s0,
-        reserve_x0=v0 / (2.0 * s0),
-        reserve_y0=v0 / 2.0,
-        notional_v0=v0,
-    )
+    try:
+        return PoolPosition(
+            invariant_l=v0 / (2.0 * math.sqrt(s0)),
+            entry_price_s0=s0,
+            reserve_x0=v0 / (2.0 * s0),
+            reserve_y0=v0 / 2.0,
+            notional_v0=v0,
+        )
+    except DomainError as exc:
+        raise DomainError(f"a deposit of v0={v0!r} at s0={s0!r} makes no valid pool position: "
+                          f"{exc}") from None
 
 
 def reserves_at_price(pos: PoolPosition, s_t: float) -> Reserves:

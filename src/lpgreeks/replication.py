@@ -72,11 +72,15 @@ class StrikeGrid:
     error_estimate: float
 
     def __post_init__(self) -> None:
+        # one pass per check: the first strike and the least step are positive, so every strike
+        # is; a min is nan, and fails its check, where any element is nan
         for strikes in (self.put_strikes, self.call_strikes):
-            if np.any(strikes <= 0.0) or np.any(np.diff(strikes) <= 0.0):
+            steps = strikes[1:] - strikes[:-1]
+            if strikes.size and not (strikes[0] > 0.0 and steps.min(initial=math.inf) > 0.0):
                 raise DomainError("strikes must be positive and strictly ascending")
-        if np.any(self.put_weights <= 0.0) or np.any(self.call_weights <= 0.0):
-            raise DomainError("weights must be positive")
+        for weights in (self.put_weights, self.call_weights):
+            if not weights.min(initial=math.inf) > 0.0:
+                raise DomainError("weights must be positive")
         if not self.lower_cut < self.entry_price < self.upper_cut:
             raise DomainError("cut bounds must bracket the entry price")
 

@@ -588,7 +588,8 @@ class TestErrorMapping:
     @pytest.mark.parametrize("mutate,message", [
         (lambda d: d.update(ig={"k": 1000}), "ig.T: required field is missing"),
         (lambda d: d["position"].update(v0=1e-300, s0=1e300),
-         "scenario: invariant_l must be positive and finite, got 0.0"),
+         "scenario: a deposit of v0=1e-300 at s0=1e+300 makes no valid pool position: "
+         "invariant_l must be positive and finite, got 0.0"),
     ])
     def test_config_error_names_the_field(self, runner, tmp_path, mutate, message):
         data = json.loads(HALF_YEAR_CONFIG.read_text())

@@ -38,6 +38,8 @@ clocks = st.one_of(st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)).map(sorte
 def all_finite(result) -> bool:
     if isinstance(result, float):
         return math.isfinite(result)
+    if isinstance(result, tuple):  # the NamedTuple records: every field, nested reports too
+        return all(map(all_finite, result))
     return all(all_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
 
 

@@ -339,9 +339,62 @@ class TestGreeksTable:
             greeks_table(locked, locked, ig, half_year_market, 1000.0)
 
 
+class TestRecordContract:
+    """GreeksReport and HedgedGreeks are immutable NamedTuple records whose text is the one
+    the frozen dataclasses printed: the non-finite greeks error embeds it."""
+
+    REPORT = GreeksReport(math.nan, -0.0, 1.5, -2.25e-300, math.inf, 0.1, -1e300)
+    REPORT_TEXT = ("GreeksReport(delta=nan, delta_pct=-0.0, gamma=1.5, gamma_pct=-2.25e-300, "
+                   "vega=inf, theta=0.1, rho=-1e+300)")
+
+    def test_repr_keeps_the_dataclass_text(self):
+        assert repr(self.REPORT) == str(self.REPORT) == self.REPORT_TEXT
+        hedged = greeks.HedgedGreeks(self.REPORT, self.REPORT, self.REPORT, 0.5, -0.0, math.nan)
+        assert repr(hedged) == (f"HedgedGreeks(lp={self.REPORT_TEXT}, ig={self.REPORT_TEXT}, "
+                                f"total={self.REPORT_TEXT}, delta_pred=0.5, theta_pred=-0.0, "
+                                f"rho_pred=nan)")
+
+    def test_non_finite_error_embeds_the_text(self):
+        with pytest.raises(DomainError) as excinfo:
+            GreeksReport.at_spot(100.0, math.nan, -0.0, 0.0, 1.0, 2.0)
+        assert str(excinfo.value) == (
+            "non-finite greeks: GreeksReport(delta=nan, delta_pct=nan, gamma=-0.0, "
+            "gamma_pct=-0.0, vega=0.0, theta=1.0, rho=2.0)")
+
+    def test_fields_cannot_be_set(self):
+        hedged = hedge_report(*self._hedge_year(), 1100.0)
+        for record, name in ((self.REPORT, "delta"), (hedged, "total"), (hedged, "rho_pred")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+
+    def test_hedged_fields(self):
+        assert greeks.HedgedGreeks._fields == (
+            "lp", "ig", "total", "delta_pred", "theta_pred", "rho_pred")
+
+    def test_sum_is_fieldwise_to_the_bit(self):
+        rng = random.Random(14)
+
+        def value():
+            return rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan, rng.uniform(-1.0, 1.0),
+                               math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1023))])
+
+        for _ in range(2000):
+            a, b = (GreeksReport(*(value() for _ in GREEK_LABELS)) for _ in range(2))
+            total = greeks._sum_reports(a, b)
+            assert type(total) is GreeksReport
+            assert [x.hex() for x in total] == [
+                (getattr(a, name) + getattr(b, name)).hex() for name in GREEK_LABELS]
+
+    @staticmethod
+    def _hedge_year():
+        market = MarketParams.from_rate_differential(0.03, 0.7, 0.1)
+        lp = LpState(POOL, market, 1000.0, 0.25, 1.25, locked=True)
+        return lp, IgContract(10000.0, 1000.0, 1.25, 0.25), market
+
+
 def test_greek_labels_follow_report_fields():
     # _sum_reports and GreeksReport.at_spot build reports positionally in this order
-    assert tuple(GREEK_LABELS) == tuple(f.name for f in fields(GreeksReport))
+    assert tuple(GREEK_LABELS) == GreeksReport._fields
 
 
 @pytest.mark.parametrize("strategy", ["unlocked-lp", "locked-lp", "ig"])

@@ -47,6 +47,19 @@ class TestPoolFromDeposit:
         with pytest.raises(DomainError):
             pool_from_deposit(v0, s0)
 
+    @pytest.mark.parametrize("v0,s0,reason", [
+        (1e4, 1e308, "reserve_x0 must be positive and finite, got 0.0"),
+        (1e-300, 1e300, "invariant_l must be positive and finite, got 0.0"),
+        (5e-324, 1.0, "invariant_l must be positive and finite, got 0.0"),
+        (1.596587376203165e-18, 1.1832310906642742e+299,
+         "deposit is not an equal-value split (x0*S0 != y0)"),
+    ])
+    def test_unrepresentable_deposit_names_its_inputs(self, v0, s0, reason):
+        with pytest.raises(DomainError) as excinfo:
+            pool_from_deposit(v0, s0)
+        assert str(excinfo.value) == (
+            f"a deposit of v0={v0!r} at s0={s0!r} makes no valid pool position: {reason}")
+
     def test_inconsistent_position_rejected(self):
         with pytest.raises(DomainError):
             PoolPosition(invariant_l=1.0, entry_price_s0=1.0,

@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,6 +140,31 @@ class TestGridConstruction:
         grid = build_strike_grid(s0, 0.7, 0.5)
         assert grid.error_estimate <= 1e-5
         assert grid.put_strikes[-1] == s0 == grid.call_strikes[0]
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda g: {"put_strikes": np.concatenate(([-1.0], g.put_strikes[1:]))},
+         "strikes must be positive and strictly ascending"),
+        (lambda g: {"call_strikes": g.call_strikes[::-1].copy()},
+         "strikes must be positive and strictly ascending"),
+        (lambda g: {"put_strikes": np.where(np.arange(g.put_strikes.size) == 5, np.nan,
+                                            g.put_strikes)},
+         "strikes must be positive and strictly ascending"),
+        (lambda g: {"call_weights": np.concatenate((g.call_weights[:-1], [0.0]))},
+         "weights must be positive"),
+        (lambda g: {"put_weights": np.concatenate(([np.nan], g.put_weights[1:]))},
+         "weights must be positive"),
+        (lambda g: {"lower_cut": g.entry_price}, "cut bounds must bracket the entry price"),
+        (lambda g: {"upper_cut": g.entry_price / 2.0}, "cut bounds must bracket the entry price"),
+    ])
+    def test_hand_built_grid_is_checked(self, edit, message):
+        grid = build_strike_grid(1000.0, 0.7, 1.0, n_side=64)
+        with pytest.raises(DomainError, match=message):
+            replace(grid, **edit(grid))
+
+    def test_hand_built_grid_of_single_strikes_builds(self):
+        one = np.array([1000.0])
+        grid = replication.StrikeGrid(1000.0, one, one, one, one, 900.0, 1100.0, "hand", 0.0)
+        assert grid.n_strikes == 2
 
     def test_rejects_bad_tolerance(self):
         for bad in (0.0, -1e-3, 0.5):

@@ -340,14 +340,14 @@ class TestGreeksTable:
 
 
 class TestRecordContract:
-    """GreeksReport and HedgedGreeks are immutable NamedTuple records whose text is the one
-    the frozen dataclasses printed: the non-finite greeks error embeds it."""
+    """GreeksReport and HedgedGreeks are immutable NamedTuple records. Their repr is pinned
+    to the character, nan and -0.0 included: the non-finite greeks error embeds it."""
 
     REPORT = GreeksReport(math.nan, -0.0, 1.5, -2.25e-300, math.inf, 0.1, -1e300)
     REPORT_TEXT = ("GreeksReport(delta=nan, delta_pct=-0.0, gamma=1.5, gamma_pct=-2.25e-300, "
                    "vega=inf, theta=0.1, rho=-1e+300)")
 
-    def test_repr_keeps_the_dataclass_text(self):
+    def test_repr_is_pinned(self):
         assert repr(self.REPORT) == str(self.REPORT) == self.REPORT_TEXT
         hedged = greeks.HedgedGreeks(self.REPORT, self.REPORT, self.REPORT, 0.5, -0.0, math.nan)
         assert repr(hedged) == (f"HedgedGreeks(lp={self.REPORT_TEXT}, ig={self.REPORT_TEXT}, "
@@ -361,8 +361,8 @@ class TestRecordContract:
             "non-finite greeks: GreeksReport(delta=nan, delta_pct=nan, gamma=-0.0, "
             "gamma_pct=-0.0, vega=0.0, theta=1.0, rho=2.0)")
 
-    def test_fields_cannot_be_set(self):
-        hedged = hedge_report(*self._hedge_year(), 1100.0)
+    def test_fields_cannot_be_set(self, hedge_year, half_year_market):
+        hedged = hedge_report(*hedge_year, half_year_market, 1100.0)
         for record, name in ((self.REPORT, "delta"), (hedged, "total"), (hedged, "rho_pred")):
             with pytest.raises(AttributeError):
                 setattr(record, name, 0.0)
@@ -384,12 +384,6 @@ class TestRecordContract:
             assert type(total) is GreeksReport
             assert [x.hex() for x in total] == [
                 (getattr(a, name) + getattr(b, name)).hex() for name in GREEK_LABELS]
-
-    @staticmethod
-    def _hedge_year():
-        market = MarketParams.from_rate_differential(0.03, 0.7, 0.1)
-        lp = LpState(POOL, market, 1000.0, 0.25, 1.25, locked=True)
-        return lp, IgContract(10000.0, 1000.0, 1.25, 0.25), market
 
 
 def test_greek_labels_follow_report_fields():

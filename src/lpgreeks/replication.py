@@ -24,6 +24,9 @@ from .pricing import IgContract, MarketParams, _factors, forward_price
 
 _TEST_RATIOS = np.array((0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0))
 _N_START = 64
+# the first step's one build: with a cut half-width of at least 5, no level below it meets the
+# default target_tol of 1e-5
+_N_FIRST = 1 << 10
 _N_CAP = 1 << 21
 _BLOCK = 1 << 16
 
@@ -72,11 +75,11 @@ class StrikeGrid:
     error_estimate: float
 
     def __post_init__(self) -> None:
-        # one pass per check: the first strike and the least step are positive, so every strike
-        # is; a min is nan, and fails its check, where any element is nan
+        # one pass per check: the first strike is positive and every step ascends, so every
+        # strike is; a compare with nan, or of inf with inf, is false and fails its check, and a
+        # weights min is nan where any weight is
         for strikes in (self.put_strikes, self.call_strikes):
-            steps = strikes[1:] - strikes[:-1]
-            if strikes.size and not (strikes[0] > 0.0 and steps.min(initial=math.inf) > 0.0):
+            if strikes.size and not (strikes[0] > 0.0 and (strikes[1:] > strikes[:-1]).all()):
                 raise DomainError("strikes must be positive and strictly ascending")
         for weights in (self.put_weights, self.call_weights):
             if not weights.min(initial=math.inf) > 0.0:
@@ -130,6 +133,37 @@ def _leg(payoff: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return payoff.sum(axis=-1)
 
 
+def _refinement(s0: float, half_width: float, n_side: int | None):
+    """Yield (n, stride, sides, reconstruction at the five test prices) per refinement level,
+    coarsest first; the level's (strikes, weights) are every stride-th node of sides, the
+    weights times stride (see build_strike_grid)."""
+    prices = s0 * _TEST_RATIOS
+
+    def nested(n: int, coarse=(None, None)):
+        sides = _side(s0, -half_width, 0.0, n, coarse[0]), _side(s0, 0.0, half_width, n, coarse[1])
+        return sides, _reconstruct(*sides, prices)
+
+    if n_side is not None:
+        sides, profile = nested(n_side // 2)
+        yield n_side // 2, 1, sides, profile
+        yield n_side, 1, *nested(n_side, sides if n_side % 2 == 0 else (None, None))
+        return
+    n = min(_N_FIRST, _N_CAP)
+    sides = _side(s0, -half_width, 0.0, n), _side(s0, 0.0, half_width, n)
+    (put_k, put_w), (call_k, call_w) = sides
+    put_leg = np.maximum(put_k - prices[:, None], 0.0) * put_w
+    call_leg = np.maximum(prices[:, None] - call_k, 0.0) * call_w
+    stride = n // _N_START
+    while stride:
+        legs = put_leg[:, ::stride].sum(axis=-1) + call_leg[:, ::stride].sum(axis=-1)
+        yield n // stride, stride, sides, -stride * legs
+        stride //= 2
+    while True:
+        n *= 2
+        sides, profile = nested(n, sides)
+        yield n, 1, sides, profile
+
+
 def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1e-5,
                       n_side: int | None = None) -> StrikeGrid:
     """Build the strip grid over [s0 * e^-m, s0 * e^+m], m = max(8*sigma*sqrt(tau), 5).
@@ -137,12 +171,16 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
     Beyond those cuts the option values and the density tail are negligible for the regimes
     this models. The per-side node count starts at 128 and doubles until the halving
     difference of the shortfall reconstructed at five test prices in [0.1*s0, 10*s0] falls
-    below target_tol; that difference is the error_estimate. The levels nest: a doubling keeps
-    the coarse nodes as its even nodes with half their weights, and takes exp and the density
-    only at the new odd nodes; linspace's i*du + lo_u, du/2 and 0.5*w are exact, so each level
-    has a fresh build's bits. n_side pins the first step to n_side nodes against n_side // 2
-    (built afresh when odd) and stops there. A DomainError names sigma, tau and target_tol when
-    2**21 nodes per side do not suffice, and s0 when the density is not a positive float at a cut.
+    below target_tol; that difference is the error_estimate. The first step builds 1024 nodes
+    per side, forms the test prices' products max(+-(K - s), 0) * w once, and reads the levels
+    64..1024 off them: level n takes every (1024/n)-th node, its weights times 1024/n, and its
+    reconstruction is the strided sum times 1024/n. Later levels nest: a doubling keeps the
+    coarse nodes as its even nodes with half their weights, and takes exp and the density only
+    at the new odd nodes. linspace's i*du + lo_u, du/2, 0.5*w and the power-of-two strides and
+    scales are exact, so each level has a fresh build's bits. n_side pins the first step to
+    n_side nodes against n_side // 2 (built afresh when odd) and stops there. A DomainError names
+    sigma, tau and target_tol when 2**21 nodes per side do not suffice, and s0 when the density
+    is not a positive float at a cut.
     """
     require_positive("s0", s0)
     require_non_negative("sigma", sigma)
@@ -160,14 +198,9 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
         raise DomainError(f"strip density 1/(4*K**1.5*sqrt(s0)) is not a positive float at "
                           f"the cut strikes s0*exp(+-{half_width!r}) for s0={s0!r}")
 
-    def reconstruction_profile(n: int, coarse=(None, None)):
-        sides = _side(s0, -half_width, 0.0, n, coarse[0]), _side(s0, 0.0, half_width, n, coarse[1])
-        return sides, _reconstruct(*sides, s0 * _TEST_RATIOS)
-
-    chosen = 2 * _N_START if n_side is None else n_side
-    sides, coarse = reconstruction_profile(chosen // 2)
-    while True:
-        sides, fine = reconstruction_profile(chosen, sides if chosen % 2 == 0 else (None, None))
+    levels = _refinement(s0, half_width, n_side)
+    *_, coarse = next(levels)
+    for chosen, stride, sides, fine in levels:
         err = float(np.max(np.abs(fine - coarse)))
         if n_side is not None or err <= target_tol:
             break
@@ -175,8 +208,10 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
             raise DomainError(
                 f"strike grid reached {chosen} nodes per side without meeting "
                 f"target_tol={target_tol!r} at sigma={sigma!r}, tau={tau!r}")
-        chosen, coarse = 2 * chosen, fine
+        coarse = fine
 
+    if stride > 1:
+        sides = [(k[::stride].copy(), w[::stride] * stride) for k, w in sides]
     (put_k, put_w), (call_k, call_w) = sides
     return StrikeGrid(entry_price=s0, put_strikes=put_k, put_weights=put_w,
                       call_strikes=call_k, call_weights=call_w, lower_cut=float(put_k[0]),

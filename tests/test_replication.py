@@ -149,6 +149,8 @@ class TestGridConstruction:
         (lambda g: {"put_strikes": np.where(np.arange(g.put_strikes.size) == 5, np.nan,
                                             g.put_strikes)},
          "strikes must be positive and strictly ascending"),
+        (lambda g: {"call_strikes": np.concatenate((g.call_strikes[:-2], [np.inf, np.inf]))},
+         "strikes must be positive and strictly ascending"),
         (lambda g: {"call_weights": np.concatenate((g.call_weights[:-1], [0.0]))},
          "weights must be positive"),
         (lambda g: {"put_weights": np.concatenate(([np.nan], g.put_weights[1:]))},
@@ -223,6 +225,54 @@ class TestNestedRefinement:
             single = replicate_il_payoff(grid, prices[-1].item())
             assert type(single) is float and single.hex() == rows[-1].hex()
         assert built >= 1500 and pinned >= 400
+
+    def test_fuzzed_grids_choose_the_level_of_a_plain_refinement(self, monkeypatch):
+        rng = random.Random(20261019)
+        chosen = {"below 1024": 0, "1024": 0, "above 1024": 0, "capped at 128": 0,
+                  "capped at 512": 0}
+        for _ in range(600):
+            s0, sigma, tau, target_tol, _ = _fuzz_case(rng)
+            monkeypatch.setattr(replication, "_N_CAP", rng.choice([128, 512, 1 << 21, 1 << 21]))
+            try:
+                grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol)
+            except DomainError as exc:
+                level, err = _plain_refinement(s0, sigma, tau, target_tol)
+                assert err is None and f"reached {level} nodes per side" in str(exc)
+                chosen[f"capped at {level}"] += 1
+                continue
+            level, err = _plain_refinement(s0, sigma, tau, target_tol)
+            assert grid.scheme == f"trapezoid-log/{level}+{level}"
+            assert grid.error_estimate.hex() == err.hex()
+            half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
+            fresh = (*replication._side(s0, -half_width, 0.0, level),
+                     *replication._side(s0, 0.0, half_width, level))
+            ours = (grid.put_strikes, grid.put_weights, grid.call_strikes, grid.call_weights)
+            for got, want in zip(ours, fresh):
+                assert got.tobytes() == want.tobytes()
+            chosen["1024" if level == 1024 else "below 1024" if level < 1024 else "above 1024"] += 1
+        assert min(chosen.values()) >= 15, chosen
+
+
+def _plain_refinement(s0: float, sigma: float, tau: float, target_tol: float) -> tuple:
+    """(level, error_estimate) of a refinement that builds every level afresh from 64 nodes
+    per side, or (level, None) where the level reaches the node cap unmet."""
+    half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
+    test_prices = s0 * np.array([0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0])
+
+    def profile(n: int) -> np.ndarray:
+        return replication._reconstruct(replication._side(s0, -half_width, 0.0, n),
+                                         replication._side(s0, 0.0, half_width, n), test_prices)
+
+    level, coarse = 64, profile(64)
+    while True:
+        level *= 2
+        fine = profile(level)
+        err = float(np.max(np.abs(fine - coarse)))
+        if err <= target_tol:
+            return level, err
+        if level >= replication._N_CAP:
+            return level, None
+        coarse = fine
 
 
 @pytest.fixture(scope="module")

@@ -235,7 +235,10 @@ def fd_greek(pricer: str, scenario: McScenario, which: str, bump: float = 1e-5) 
     its rounding noise inside a 1e-5 relative budget); theta bumps the clock t
     with the maturity held fixed; rho bumps the rate differential. The clock
     may run below zero (valuing before inception is smooth), but the remaining
-    time horizon - t must stay non-negative wherever it enters a formula; a
+    time horizon - t must stay non-negative wherever it enters a formula. Where
+    the clock's up step would pass the maturity of a locked position or a gain
+    contract (tau < step, at maturity too), theta takes the second-order
+    backward stencil (3 f(t) - 4 f(t - h) + f(t - 2h)) / 2h instead; any other
     bump that leaves the domain raises StepCollapseError.
     """
     if pricer not in PRICERS:
@@ -270,6 +273,8 @@ def fd_greek(pricer: str, scenario: McScenario, which: str, bump: float = 1e-5) 
     arg = _BUMPED[which]
     x = {"s_t": s, "sig": sigma, "rate": r_f, "clock": t}[arg]
     h = bump * max(abs(x), 1.0)
+    if arg == "clock" and pricer != "unlocked_lp" and x + h > horizon:
+        return (3.0 * value() - 4.0 * value(clock=x - h) + value(clock=x - 2.0 * h)) / (2.0 * h)
     up, down = value(**{arg: x + h}), value(**{arg: x - h})
     if which == "gamma":
         return (up - 2.0 * value() + down) / (h * h)

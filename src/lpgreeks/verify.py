@@ -2,9 +2,11 @@
 
 Each check pits a closed form against an independent route: Monte Carlo for
 the terminal moments and the discounted payoffs, central finite differences
-for every greek, and the option strip for the gain premium. Monte Carlo rows
-pass on |z| <= 3; deterministic rows scale the discrepancy by their tolerance
-so that the same z <= threshold reading applies (threshold 1 there).
+for every greek, and the option strip for the gain premium. Every check is one
+row of one table and passes through one rule, _check. A Monte Carlo row
+reports the signed z = diff / std_error and passes on |z| <= 3; with no
+sampling noise it must match to 1e-9 * max(|closed|, 1). A deterministic row
+reports z = |diff| / (tol * max(|closed|, 1e-12)) and passes on z <= 1.
 """
 
 from __future__ import annotations
@@ -51,50 +53,20 @@ class CheckResult:
     passed: bool
 
 
-def _mc_check(name: str, closed: float, estimate_mean: float, std_error: float) -> CheckResult:
-    diff = estimate_mean - closed
+def _check(name: str, closed: float, estimate: float, std_error: float,
+           rel_tol: float | None) -> CheckResult:
+    """One row's outcome; rel_tol None marks a Monte Carlo row."""
+    diff = estimate - closed
+    if rel_tol is not None:
+        z = abs(diff) / (rel_tol * max(abs(closed), 1e-12))
+        return CheckResult(name, closed, estimate, std_error, z, z <= 1.0)
     if std_error > 0.0:
         z = diff / std_error
     elif abs(diff) <= 1e-9 * max(abs(closed), 1.0):
         z = 0.0  # degenerate sampling noise: require near-exact agreement
     else:
         z = math.inf if diff > 0 else -math.inf
-    return CheckResult(
-        name=name,
-        closed_form=closed,
-        estimate=estimate_mean,
-        std_error=std_error,
-        z_score=z,
-        passed=abs(z) <= MC_Z_LIMIT,
-    )
-
-
-def _tol_check(name: str, closed: float, estimate: float, rel_tol: float) -> CheckResult:
-    scale = max(abs(closed), 1e-12)
-    z = abs(estimate - closed) / (rel_tol * scale)
-    return CheckResult(
-        name=name,
-        closed_form=closed,
-        estimate=estimate,
-        std_error=0.0,
-        z_score=z,
-        passed=z <= 1.0,
-    )
-
-
-def _fd_checks(pricer: str, closed: GreeksReport, scenario: McScenario) -> list[CheckResult]:
-    """One row per report field: the closed form against the same field of the
-    report built from central differences of the shipped premium."""
-    fd = GreeksReport.at_spot(scenario.s_t, **{
-        name: fd_greek(pricer, scenario, name,
-                       FD_BUMP_SECOND_ORDER if name == "gamma" else FD_BUMP_FIRST_ORDER)
-        for name in GREEK_NAMES
-    })
-    return [
-        _tol_check(f"fd/{pricer}/{field}", getattr(closed, field), getattr(fd, field),
-                   FD_TOL_SECOND_ORDER if field in _SECOND_ORDER else FD_TOL_FIRST_ORDER)
-        for field in GREEK_LABELS
-    ]
+    return CheckResult(name, closed, estimate, std_error, z, abs(z) <= MC_Z_LIMIT)
 
 
 def run_verification(scenario: ScenarioConfig) -> list[CheckResult]:
@@ -105,60 +77,64 @@ def run_verification(scenario: ScenarioConfig) -> list[CheckResult]:
     if not scenario.position.locked:
         raise ConfigError("position.locked: verification prices the locked position")
 
-    cfg = scenario.mc
     market = scenario.market
     state = scenario.lp_state()
     contract = scenario.ig_contract()
-    lp_scn = McScenario(
-        market=market, s_t=scenario.spot, tau=state.tau,
-        v0=state.position.notional_v0, entry_price=state.position.entry_price_s0,
-        horizon=state.maturity_T,
-    )
-    ig_scn = McScenario(
-        market=market, s_t=scenario.spot, tau=contract.tau,
-        v0=contract.notional_v0, strike=contract.strike_k, horizon=contract.maturity_T,
-    )
+    lp_scn = McScenario(market=market, s_t=scenario.spot, tau=state.tau,
+                        v0=state.position.notional_v0,
+                        entry_price=state.position.entry_price_s0, horizon=state.maturity_T)
+    ig_scn = McScenario(market=market, s_t=scenario.spot, tau=contract.tau,
+                        v0=contract.notional_v0, strike=contract.strike_k,
+                        horizon=contract.maturity_T)
     ig_closed = price_ig(contract, scenario.spot, market)
 
-    # Monte Carlo rows as (name, closed form, payoff, scenario): the
+    # Monte Carlo jobs as (name, closed form, payoff, scenario): the
     # terminal-moment identities on the fixed parameter box, then the
     # discounted payoffs of the scenario itself. One mc_price call prices them
     # all from one pass over the stream.
-    mc_rows = []
+    jobs = []
     for sigma, r_f, tau in MOMENT_SETS:
         set_market = replace(market, r_x=r_f, r_y=0.0, sigma=sigma)
         moment_scn = McScenario(market=set_market, s_t=scenario.spot, tau=tau)
         label = f"sigma={sigma:g},r_f={r_f:g},tau={tau:g}"
-        mc_rows.append((f"moment/sqrt[{label}]",
-                        expected_sqrt_price(scenario.spot, set_market, tau), "sqrt_moment",
-                        moment_scn))
-        mc_rows.append((f"moment/forward[{label}]",
-                        forward_price(scenario.spot, set_market, tau), "forward", moment_scn))
-    mc_rows.append(("price/locked_lp", price_locked_lp(state), "locked_lp", lp_scn))
-    mc_rows.append(("price/ig", ig_closed, "ig", ig_scn))
+        jobs.append((f"moment/sqrt[{label}]",
+                     expected_sqrt_price(scenario.spot, set_market, tau), "sqrt_moment",
+                     moment_scn))
+        jobs.append((f"moment/forward[{label}]",
+                     forward_price(scenario.spot, set_market, tau), "forward", moment_scn))
+    jobs.append(("price/locked_lp", price_locked_lp(state), "locked_lp", lp_scn))
+    jobs.append(("price/ig", ig_closed, "ig", ig_scn))
     for kind in ("call", "put"):
         quote = vanilla_price(contract.strike_k, scenario.spot, market, contract.tau, kind)
-        mc_rows.append((f"price/vanilla_{kind}", quote.premium, f"vanilla_{kind}", ig_scn))
-    names, closed_forms, payoffs, scenarios = zip(*mc_rows)
-    results = [_mc_check(name, closed, est.mean, est.std_error) for name, closed, est
-               in zip(names, closed_forms, mc_price(payoffs, scenarios, cfg))]
+        jobs.append((f"price/vanilla_{kind}", quote.premium, f"vanilla_{kind}", ig_scn))
+    names, closed_forms, payoffs, scenarios = zip(*jobs)
 
-    # Finite differences against each closed-form greek.
-    unlocked_state = replace(state, locked=False)
-    results.extend(_fd_checks("unlocked_lp", greeks_unlocked_lp(unlocked_state), lp_scn))
-    results.extend(_fd_checks("locked_lp", greeks_locked_lp(state), lp_scn))
-    results.extend(_fd_checks("ig", greeks_ig(contract, scenario.spot, market), ig_scn))
+    # The row table: (name, closed form, estimate, standard error, relative
+    # tolerance), the tolerance None on a Monte Carlo row.
+    rows = [(name, closed, est.mean, est.std_error, None) for name, closed, est
+            in zip(names, closed_forms, mc_price(payoffs, scenarios, scenario.mc))]
+
+    # Each report field of each closed-form greek against the same field of the
+    # report built from central differences of the shipped premium.
+    for pricer, closed, scn in (
+            ("unlocked_lp", greeks_unlocked_lp(replace(state, locked=False)), lp_scn),
+            ("locked_lp", greeks_locked_lp(state), lp_scn),
+            ("ig", greeks_ig(contract, scenario.spot, market), ig_scn)):
+        fd = GreeksReport.at_spot(scn.s_t, **{
+            name: fd_greek(pricer, scn, name,
+                           FD_BUMP_SECOND_ORDER if name == "gamma" else FD_BUMP_FIRST_ORDER)
+            for name in GREEK_NAMES
+        })
+        rows.extend((f"fd/{pricer}/{field}", closed_value, fd_value, 0.0,
+                     FD_TOL_SECOND_ORDER if field in _SECOND_ORDER else FD_TOL_FIRST_ORDER)
+                    for field, closed_value, fd_value in zip(GREEK_LABELS, closed, fd))
 
     # Strip route for the gain premium.
     grid = build_strike_grid(contract.strike_k, market.sigma, contract.tau,
                              target_tol=scenario.quad_tol or 1e-5)
-    results.append(_tol_check(
-        "strip/ig",
-        ig_closed,
-        price_ig_via_strip(contract, scenario.spot, market, grid),
-        STRIP_REL_TOL,
-    ))
-    return results
+    strip = price_ig_via_strip(contract, scenario.spot, market, grid)
+    rows.append(("strip/ig", ig_closed, strip, 0.0, STRIP_REL_TOL))
+    return [_check(*row) for row in rows]
 
 
 def _g17(value: float) -> str:

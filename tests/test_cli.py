@@ -433,6 +433,18 @@ class TestVerifyCommand:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert out_a.read_bytes() != out_c.read_bytes()
 
+    def test_expired_position_passes(self, runner, tmp_path):
+        # at t = T theta's central clock step would pass the maturity
+        data = json.loads(HALF_YEAR_CONFIG.read_text())
+        data["mc"] = small_mc()
+        data["position"]["t"] = 0.5
+        path = write_config(tmp_path, data)
+        out = tmp_path / "report.csv"
+        result = runner.invoke(cli, ["verify", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = out.read_text().splitlines()
+        assert len(lines) == 37 and all(line.endswith(",true") for line in lines[1:])
+
     @pytest.mark.parametrize("option, value", [
         ("--paths", "0"), ("--paths", "-5"), ("--seed", "-1"), ("--seed", str(2**64)),
     ])

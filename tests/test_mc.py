@@ -258,11 +258,23 @@ class TestFdGreek:
                            1000.0, week_market).theta
         assert abs(fd - closed) / abs(closed) < 1e-6
 
-    def test_step_collapse_past_maturity(self, half_year_market):
-        expired = McScenario(market=half_year_market, s_t=1000.0, tau=0.0,
-                             v0=10000.0, entry_price=1000.0, horizon=0.5)
-        with pytest.raises(StepCollapseError):
-            fd_greek("locked_lp", expired, "theta")
+    def test_theta_at_maturity_matches_closed_form(self, locked_half_year, half_year_market):
+        # the central clock step would pass T; the backward stencil stays inside
+        expired = McScenario(market=half_year_market, s_t=1000.0, tau=0.0, v0=10000.0,
+                             entry_price=1000.0, strike=1000.0, horizon=0.5)
+        contract = IgContract(notional_v0=10000.0, strike_k=1000.0, maturity_T=0.5, t=0.5)
+        for pricer, closed in (
+                ("locked_lp", greeks_locked_lp(replace(locked_half_year, t=0.5)).theta),
+                ("ig", greeks_ig(contract, 1000.0, half_year_market).theta)):
+            fd = fd_greek(pricer, expired, "theta")
+            assert abs(fd - closed) / abs(closed) < verify_module.FD_TOL_FIRST_ORDER
+
+    def test_step_collapse_at_zero_vol(self):
+        # sigma 0 has no backward stencil: vega's down step leaves the domain
+        scn = McScenario(market=MarketParams.from_rate_differential(0.03, 0.0, 0.1), s_t=1000.0,
+                         tau=0.25, v0=10000.0, entry_price=1000.0, horizon=0.5)
+        with pytest.raises(StepCollapseError, match="bumped sigma left the domain"):
+            fd_greek("locked_lp", scn, "vega")
 
     def test_bump_bounds_enforced(self, half_year_market):
         scn = McScenario(market=half_year_market, s_t=1000.0, tau=0.25,
@@ -383,3 +395,29 @@ class TestBatch:
         assert len(calls) == 1
         assert philox_words[0] == 200000
         assert sum(row.name.startswith(("moment/", "price/")) for row in results) == 14
+
+
+# (closed, estimate, std_error, rel_tol) -> (z, passed); rel_tol None is a Monte Carlo row
+CHECK_CASES = {
+    "mc-signed-z": ((10.0, 9.0, 0.25, None), (-4.0, False)),
+    "mc-at-limit": ((10.0, 10.75, 0.25, None), (3.0, True)),
+    "mc-no-noise-within": ((0.5, 0.5 + 8e-10, 0.0, None), (0.0, True)),
+    "mc-no-noise-above": ((1000.0, 1000.01, 0.0, None), (math.inf, False)),
+    "mc-no-noise-below": ((1000.0, 999.99, 0.0, None), (-math.inf, False)),
+    "mc-nan": ((10.0, math.nan, 0.25, None), (math.nan, False)),
+    "mc-no-noise-nan": ((10.0, math.nan, 0.0, None), (-math.inf, False)),
+    "tol-within": ((2.0, 2.0 - 1e-6, 0.0, 1e-6), (0.5, True)),
+    "tol-below": ((2.0, 2.0 - 4e-6, 0.0, 1e-6), (2.0, False)),
+    "tol-floor-within": ((0.0, -1e-19, 0.0, 1e-6), (0.1, True)),
+    "tol-floor-above": ((0.0, 1e-17, 0.0, 1e-6), (10.0, False)),
+    "tol-nan": ((2.0, math.nan, 0.0, 1e-6), (math.nan, False)),
+}
+
+
+@pytest.mark.parametrize("row, expected", CHECK_CASES.values(), ids=CHECK_CASES.keys())
+def test_verify_check_rule(row, expected):
+    result = verify_module._check("row", *row)
+    z, passed = expected
+    assert result.z_score == pytest.approx(z, rel=1e-9, nan_ok=True)
+    assert result.passed is passed
+    assert (result.name, result.closed_form, result.std_error) == ("row", row[0], row[2])

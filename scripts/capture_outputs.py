@@ -6,10 +6,10 @@ The commands run in-process through click's CliRunner: price and greeks for
 each strategy, hedge, table, every figure, and verify at the config's own seed
 and at --seed 7 --paths 200000. Each runs on the shipped configs, on an
 unlocked copy of locked-half-year.json, on six extreme-value variants of it,
-on one with a quadrature target_tol of 1e-2, whose strike grid stops below
-1024 nodes per side, and on one expired at t = T. OUTDIR/<config>/<run>.txt
-holds the command line, the exit code, stdout, stderr and the --out file, with
-the temporary directory written as <tmp>.
+on one with a quadrature target_tol of 1e-2, on one at sigma 1e-3 (a strike
+grid sized by sigma*sqrt(tau)) and on one expired at t = T.
+OUTDIR/<config>/<run>.txt holds the command line, the exit code, stdout,
+stderr and the --out file, with the temporary directory written as <tmp>.
 
 Two captures of the same code are identical (diff -r); a capture of each of
 two commits shows which outputs a change moved. Needs click >= 8.2, whose
@@ -42,6 +42,7 @@ VARIANTS = {
     "entry-1e308": lambda d: d["position"].update(s0=1e308),
     "sigma-0": lambda d: d["market"].update(sigma=0),
     "tol-1e-2": lambda d: d["quadrature"].update(target_tol=1e-2),
+    "sigma-1e-3": lambda d: d["market"].update(sigma=1e-3),
     "expired": lambda d: d["position"].update(t=0.5),
 }
 

@@ -24,11 +24,10 @@ from .pricing import IgContract, MarketParams, _factors, forward_price
 
 _TEST_RATIOS = np.array((0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0))
 _N_START = 64
-# the first step's one build: with a cut half-width of at least 5, no level below it meets the
-# default target_tol of 1e-5
-_N_FIRST = 1 << 10
 _N_CAP = 1 << 21
 _BLOCK = 1 << 16
+# c_k = 2**2k * B_2k / (2k)!, k = 7..1: x*coth(x) - 1 = sum_k c_k * x**2k, to 2 ulps for x <= 1/4
+_COTH_SERIES = (4 / 18243225, -1382 / 638512875, 2 / 93555, -1 / 4725, 2 / 945, -1 / 45, 1 / 3)
 
 
 def _density_magnitude(k, s0: float):
@@ -102,20 +101,13 @@ class VanillaQuote:
     premium: float
 
 
-def _side(s0: float, lo_u: float, hi_u: float, n_side: int, coarse=None) -> tuple:
-    """Trapezoid nodes and density-folded weights on one log-strike interval; coarse, given
-    for an even n_side, is its (strikes, weights) at n_side // 2 nodes (see build_strike_grid)."""
+def _side(s0: float, lo_u: float, hi_u: float, n_side: int) -> tuple:
+    """Trapezoid nodes and density-folded weights on one log-strike interval."""
     du = (hi_u - lo_u) / n_side
-    if coarse is None:
-        strikes = s0 * np.exp(np.linspace(lo_u, hi_u, n_side + 1))
-        coeff = np.full(n_side + 1, du)
-        coeff[0] = coeff[-1] = 0.5 * du
-        return strikes, coeff * strikes * _density_magnitude(strikes, s0)
-    new = s0 * np.exp(np.arange(1, n_side, 2) * du + lo_u)
-    strikes, weights = np.empty((2, n_side + 1))
-    strikes[0::2], strikes[1::2] = coarse[0], new
-    weights[0::2], weights[1::2] = 0.5 * coarse[1], du * new * _density_magnitude(new, s0)
-    return strikes, weights
+    strikes = s0 * np.exp(np.linspace(lo_u, hi_u, n_side + 1))
+    coeff = np.full(n_side + 1, du)
+    coeff[0] = coeff[-1] = 0.5 * du
+    return strikes, coeff * strikes * _density_magnitude(strikes, s0)
 
 
 def _reconstruct(put, call, s_terminal: np.ndarray) -> np.ndarray:
@@ -133,54 +125,25 @@ def _leg(payoff: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return payoff.sum(axis=-1)
 
 
-def _refinement(s0: float, half_width: float, n_side: int | None):
-    """Yield (n, stride, sides, reconstruction at the five test prices) per refinement level,
-    coarsest first; the level's (strikes, weights) are every stride-th node of sides, the
-    weights times stride (see build_strike_grid)."""
-    prices = s0 * _TEST_RATIOS
-
-    def nested(n: int, coarse=(None, None)):
-        sides = _side(s0, -half_width, 0.0, n, coarse[0]), _side(s0, 0.0, half_width, n, coarse[1])
-        return sides, _reconstruct(*sides, prices)
-
-    if n_side is not None:
-        sides, profile = nested(n_side // 2)
-        yield n_side // 2, 1, sides, profile
-        yield n_side, 1, *nested(n_side, sides if n_side % 2 == 0 else (None, None))
-        return
-    n = min(_N_FIRST, _N_CAP)
-    sides = _side(s0, -half_width, 0.0, n), _side(s0, 0.0, half_width, n)
-    (put_k, put_w), (call_k, call_w) = sides
-    put_leg = np.maximum(put_k - prices[:, None], 0.0) * put_w
-    call_leg = np.maximum(prices[:, None] - call_k, 0.0) * call_w
-    stride = n // _N_START
-    while stride:
-        legs = put_leg[:, ::stride].sum(axis=-1) + call_leg[:, ::stride].sum(axis=-1)
-        yield n // stride, stride, sides, -stride * legs
-        stride //= 2
-    while True:
-        n *= 2
-        sides, profile = nested(n, sides)
-        yield n, 1, sides, profile
-
-
 def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1e-5,
                       n_side: int | None = None) -> StrikeGrid:
-    """Build the strip grid over [s0 * e^-m, s0 * e^+m], m = max(8*sigma*sqrt(tau), 5).
+    """Build the strip grid over [s0 * e^-m, s0 * e^+m], m = max(8*sigma*sqrt(tau), 5), with
+    n_side trapezoid nodes per side in u = log(K/s0), step h = m/n_side.
 
-    Beyond those cuts the option values and the density tail are negligible for the regimes
-    this models. The per-side node count starts at 128 and doubles until the halving
-    difference of the shortfall reconstructed at five test prices in [0.1*s0, 10*s0] falls
-    below target_tol; that difference is the error_estimate. The first step builds 1024 nodes
-    per side, forms the test prices' products max(+-(K - s), 0) * w once, and reads the levels
-    64..1024 off them: level n takes every (1024/n)-th node, its weights times 1024/n, and its
-    reconstruction is the strided sum times 1024/n. Later levels nest: a doubling keeps the
-    coarse nodes as its even nodes with half their weights, and takes exp and the density only
-    at the new odd nodes. linspace's i*du + lo_u, du/2, 0.5*w and the power-of-two strides and
-    scales are exact, so each level has a fresh build's bits. n_side pins the first step to
-    n_side nodes against n_side // 2 (built afresh when odd) and stops there. A DomainError names
-    sigma, tau and target_tol when 2**21 nodes per side do not suffice, and s0 when the density
-    is not a positive float at a cut.
+    target_tol is the strip price's quadrature tolerance per unit notional. With its kink term
+    subtracted (price_ig_via_strip) the price's error falls as exp(-2*pi**2*(v/h)**2) for
+    v = sigma*sqrt(tau): n_side is the smallest power of two >= 64 with
+    h <= pi*v*sqrt(2/ln(1/target_tol)). At v = 0 the integrand, disc*|e^(u/2) -
+    (F/s0)*e^(-u/2)|/4 from u = 0 to log(F/s0) and 0 elsewhere, is convex up to its kink at the
+    forward, and its slope varies by disc*(1 + F/s0)/8 in all; a trapezoid cell errs by at most
+    h**2/8 times the variation on it, so the price errs by at most h**2/32 * disc*(1 + F/s0)/2
+    (1 at the money at rate 0) and h <= sqrt(32*target_tol). A DomainError names sigma, tau and
+    target_tol where that takes more than 2**21 nodes per side (v below about 2e-6 at the
+    default target_tol), and s0 where the density is not a positive float at a cut. n_side
+    pins the count. error_estimate is the largest difference of the shortfall reconstructed at
+    five test prices in [0.1*s0, 10*s0] between n_side nodes and its stride-2 half (every
+    second node, weights doubled: a fresh n_side // 2 build's bits; built afresh for an odd
+    n_side); it estimates replicate_il_payoff's error.
     """
     require_positive("s0", s0)
     require_non_negative("sigma", sigma)
@@ -191,6 +154,7 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
         raise DomainError(f"n_side must be >= 2, got {n_side!r}")
 
     half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
+    bounds = (-half_width, 0.0), (0.0, half_width)
     with np.errstate(all="ignore"):  # the density falls with K: the cuts bound every node
         cuts = s0 * np.exp(np.array((-half_width, half_width)))
         top, bottom = _density_magnitude(cuts, s0).tolist()
@@ -198,48 +162,51 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
         raise DomainError(f"strip density 1/(4*K**1.5*sqrt(s0)) is not a positive float at "
                           f"the cut strikes s0*exp(+-{half_width!r}) for s0={s0!r}")
 
-    levels = _refinement(s0, half_width, n_side)
-    *_, coarse = next(levels)
-    for chosen, stride, sides, fine in levels:
-        err = float(np.max(np.abs(fine - coarse)))
-        if n_side is not None or err <= target_tol:
-            break
-        if chosen >= _N_CAP:
-            raise DomainError(
-                f"strike grid reached {chosen} nodes per side without meeting "
-                f"target_tol={target_tol!r} at sigma={sigma!r}, tau={tau!r}")
-        coarse = fine
+    if n_side is None:
+        vol = sigma * math.sqrt(tau)
+        max_step = (math.pi * vol * math.sqrt(-2.0 / math.log(target_tol)) if vol > 0.0
+                    else math.sqrt(32.0 * target_tol))
+        n_side = _N_START
+        while half_width / n_side > max_step:
+            n_side *= 2
+            if n_side > _N_CAP:
+                raise DomainError(f"strike grid reached {_N_CAP} nodes per side without meeting "
+                                  f"target_tol={target_tol!r} at sigma={sigma!r}, tau={tau!r}")
 
-    if stride > 1:
-        sides = [(k[::stride].copy(), w[::stride] * stride) for k, w in sides]
-    (put_k, put_w), (call_k, call_w) = sides
+    (put_k, put_w), (call_k, call_w) = fine = [_side(s0, lo, hi, n_side) for lo, hi in bounds]
+    half = ([(k[::2], 2.0 * w[::2]) for k, w in fine] if n_side % 2 == 0 else
+            [_side(s0, lo, hi, n_side // 2) for lo, hi in bounds])
+    prices = s0 * _TEST_RATIOS
+    err = float(np.max(np.abs(_reconstruct(*fine, prices) - _reconstruct(*half, prices))))
     return StrikeGrid(entry_price=s0, put_strikes=put_k, put_weights=put_w,
                       call_strikes=call_k, call_weights=call_w, lower_cut=float(put_k[0]),
-                      upper_cut=float(call_k[-1]), scheme=f"trapezoid-log/{chosen}+{chosen}",
+                      upper_cut=float(call_k[-1]), scheme=f"trapezoid-log/{n_side}+{n_side}",
                       error_estimate=err)
 
 
 def replicate_il_payoff(grid: StrikeGrid, s_terminal: float) -> float:
-    """Strip reconstruction of the shortfall at a terminal price; the grid's
-    error_estimate bounds the quadrature error inside the cut range."""
+    """Strip reconstruction of the shortfall at a terminal price. Inside the cut range its
+    quadrature error falls as h**2; the grid's error_estimate, the halving difference at five
+    test prices, estimates it."""
     require_positive("s_terminal", s_terminal)
     return float(_reconstruct((grid.put_strikes, grid.put_weights),
                               (grid.call_strikes, grid.call_weights), np.array([s_terminal]))[0])
 
 
-def _black_values(strikes, s_t: float, market: MarketParams, tau: float,
-                  is_call: bool) -> np.ndarray:
+def _lognormal(s_t: float, market: MarketParams, tau: float) -> tuple[float, float, float]:
+    """(forward, discount factor, sigma*sqrt(tau)) of the terminal law the strip prices under."""
+    return forward_price(s_t, market, tau), _factors(market, tau)[1], market.sigma * math.sqrt(tau)
+
+
+def _black_values(strikes, forward: float, disc: float, vol: float, is_call: bool) -> np.ndarray:
     """Lognormal forward-model premiums, discounted at the rate differential.
 
-    At tau = 0 or sigma = 0 this degenerates to discounted intrinsic value on
+    At vol = sigma*sqrt(tau) = 0 this degenerates to discounted intrinsic value on
     the forward. d saturates to +-inf for a vanishing vol or a forward/strike
     ratio that overflows or underflows to 0, and ndtr then yields intrinsic
     value; those intended limits do not warn. An overflowing premium is inf.
     """
     strikes = np.asarray(strikes, dtype=float)
-    forward = forward_price(s_t, market, tau)
-    disc = _factors(market, tau)[1]
-    vol = market.sigma * math.sqrt(tau)
     with np.errstate(over="ignore", divide="ignore"):
         if vol == 0.0:
             undiscounted = np.maximum(forward - strikes, 0.0) if is_call \
@@ -260,27 +227,57 @@ def vanilla_price(strike: float, s_t: float, market: MarketParams, tau: float,
     require_non_negative("tau", tau)
     if kind not in ("put", "call"):
         raise DomainError(f"kind must be 'put' or 'call', got {kind!r}")
-    premium = require_finite(f"{kind} premium",
-                             float(_black_values(strike, s_t, market, tau, kind == "call")))
+    premium = require_finite(f"{kind} premium", float(
+        _black_values(strike, *_lognormal(s_t, market, tau), kind == "call")))
     return VanillaQuote(strike=float(strike), tau=float(tau), kind=kind, premium=premium)
+
+
+def _log_step(contract: IgContract, grid: StrikeGrid) -> float:
+    """The log-strike step h off the call side's cut and node count; a DomainError where the
+    grid is not centered on the contract strike, or where the put side's mean step or a side's
+    first or last step is not h (the kink term needs one uniform step on both sides)."""
+    if not math.isclose(grid.entry_price, contract.strike_k, rel_tol=1e-9):
+        raise DomainError("grid is not centered on the contract strike")
+    put, call = grid.put_strikes, grid.call_strikes
+    if min(put.size, call.size) > 1:
+        h = math.log(grid.upper_cut / grid.entry_price) / (call.size - 1)
+        steps = (math.log(grid.entry_price / grid.lower_cut) / (put.size - 1),
+                 math.log(put[1] / put[0]), math.log(put[-1] / put[-2]),
+                 math.log(call[1] / call[0]), math.log(call[-1] / call[-2]))
+        if all(math.isclose(step, h, rel_tol=1e-6) for step in steps):
+            return h
+    raise DomainError(f"strike grid {grid.scheme!r} has no uniform log step on both sides")
+
+
+def _coth_minus_one(x: float) -> float:
+    """x*coth(x) - 1 to about 1e-14 relative: its Maclaurin series up to x = 1/4, where the
+    closed form would cancel, and the closed form beyond."""
+    return x / math.tanh(x) - 1.0 if x > 0.25 else x * x * float(np.polyval(_COTH_SERIES, x * x))
 
 
 def price_ig_via_strip(contract: IgContract, s_t: float, market: MarketParams,
                        grid: StrikeGrid) -> float:
-    """Price the gain contract as the cost of going long the whole strip.
+    """Price the gain contract as the cost of going long the whole strip, less its kink term.
 
-    Independent of the closed-form premium up to the grid's quadrature error
-    and the truncation tail; see strip_price_error_bound for the combined
-    estimate. The grid must be centered on the contract strike.
+    Each side is a trapezoid rule in u = log(K/K0), step h. At the strike K0 put-call parity
+    makes the integrand jump by Delta(u) = disc/4 * (e^(u/2) - (F/K0)*e^(-u/2)) per unit
+    notional, with odd derivatives Delta^(j)(0) = disc/4 * 2^-j * (1 + F/K0); the jump's
+    Euler-Maclaurin series sum_k B_2k/(2k)! * h^2k * Delta^(2k-1)(0) sums to
+    disc*(1 + F/K0)/2 * (x*coth(x) - 1), x = h/4, which is subtracted. What is left is the
+    exponentially small error of a smooth integrand (see build_strike_grid) and the tail
+    beyond the cuts (see strip_price_error_bound). At sigma*sqrt(tau) = 0 the values are
+    intrinsic and the term is skipped. A DomainError where the grid is not centered on the
+    contract strike, or names its scheme where both sides do not share one uniform log step.
     """
     require_positive("s_t", s_t)
-    if not math.isclose(grid.entry_price, contract.strike_k, rel_tol=1e-9):
-        raise DomainError("grid is not centered on the contract strike")
-    tau = contract.tau
-    puts = _black_values(grid.put_strikes, s_t, market, tau, is_call=False)
-    calls = _black_values(grid.call_strikes, s_t, market, tau, is_call=True)
-    total = np.sum(puts * grid.put_weights) + np.sum(calls * grid.call_weights)
-    return require_finite("strip premium", contract.notional_v0 * float(total))
+    h = _log_step(contract, grid)
+    forward, disc, vol = _lognormal(s_t, market, contract.tau)
+    puts = _black_values(grid.put_strikes, forward, disc, vol, is_call=False)
+    calls = _black_values(grid.call_strikes, forward, disc, vol, is_call=True)
+    total = float(np.sum(puts * grid.put_weights) + np.sum(calls * grid.call_weights))
+    if vol > 0.0:
+        total -= 0.5 * disc * (1.0 + forward / contract.strike_k) * _coth_minus_one(0.25 * h)
+    return require_finite("strip premium", contract.notional_v0 * total)
 
 
 def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketParams,
@@ -288,14 +285,15 @@ def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketPara
     """Combined error estimate for price_ig_via_strip, in token-y units: the grid's
     error_estimate plus an analytic bound on the strip value lost beyond the cuts.
 
-    Put side: premiums below lower_cut are bounded by disc * K * N(-d2(cut)),
-    and the density integral of K below the cut is sqrt(cut)/(2*sqrt(s0)).
-    Call side mirrors with disc * F * N(d1(cut)) and density mass
-    1/(2*sqrt(cut*s0)). A DomainError where the bound is not finite.
+    The error_estimate is the payoff reconstruction's halving difference, of order h**2; the
+    price's own quadrature error, once its kink term is subtracted, is far smaller, so the
+    bound is loose. Put side: premiums below lower_cut are bounded by disc * K * N(-d2(cut)),
+    and the density integral of K below the cut is sqrt(cut)/(2*sqrt(s0)). Call side mirrors
+    with disc * F * N(d1(cut)) and density mass 1/(2*sqrt(cut*s0)). A DomainError where the
+    grid is one price_ig_via_strip refuses, or where the bound is not finite.
     """
-    forward = forward_price(s_t, market, contract.tau)
-    disc = _factors(market, contract.tau)[1]
-    vol = market.sigma * math.sqrt(contract.tau)
+    _log_step(contract, grid)
+    forward, disc, vol = _lognormal(s_t, market, contract.tau)
     s0 = grid.entry_price
     if vol == 0.0:
         p_put = 1.0 if forward <= grid.lower_cut else 0.0

@@ -455,18 +455,33 @@ class TestVerifyCommand:
         assert f"Invalid value for '{option}'" in result.output
 
     def test_strip_grid_cap_is_domain_error(self, runner, tmp_path):
-        # no grid up to 2**21 nodes per side meets 1e-12; that is a limit of
-        # the quadrature, not a failed verification
+        # sigma*sqrt(tau) = 7e-7 needs a log step that 2**21 nodes per side do not reach;
+        # that is a limit of the quadrature, not a failed verification
         data = json.loads(HALF_YEAR_CONFIG.read_text())
-        data["quadrature"]["target_tol"] = 1e-12
+        data["position"]["t"] = 0.0
+        data["ig"]["T"] = 1e-12
         data["mc"]["n_paths"] = 2000
         path = write_config(tmp_path, data)
         out = tmp_path / "report.csv"
         result = runner.invoke(cli, ["verify", "--config", str(path), "--out", str(out)])
         assert result.exit_code == 3
         assert result.output.startswith("domain error: strike grid reached 2097152 nodes")
-        assert "target_tol=1e-12 at sigma=0.7, tau=0.25" in result.output
+        assert "target_tol=1e-05 at sigma=0.7, tau=1e-12" in result.output
         assert not out.exists()
+
+    def test_strip_passes_at_small_sigma(self, runner, tmp_path):
+        # the grid's step follows sigma*sqrt(tau) = 5e-4; a payoff-sized 1024-node grid
+        # missed the premium by 10 % (z = 10.05)
+        data = json.loads(HALF_YEAR_CONFIG.read_text())
+        data["market"]["sigma"] = 0.001
+        data["mc"]["n_paths"] = 2000
+        path = write_config(tmp_path, data)
+        out = tmp_path / "report.csv"
+        result = runner.invoke(cli, ["verify", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        strip = out.read_text().splitlines()[-1].split(",")
+        assert strip[0] == "strip/ig" and strip[-1] == "true"
+        assert float(strip[4]) <= 1e-6
 
     def test_missing_mc_block_exits_2(self, runner, tmp_path):
         data = json.loads(HALF_YEAR_CONFIG.read_text())

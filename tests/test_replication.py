@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,12 +92,15 @@ class TestGridConstruction:
         assert grid.upper_cut == pytest.approx(1000.0 * math.exp(5.0), rel=1e-12)
 
     def test_reported_estimate_meets_tolerance(self):
-        grid = build_strike_grid(1000.0, 0.7, 1.0, target_tol=1e-6)
+        # the payoff-sized level the reconstruction needs for 1e-6; the default grid, sized
+        # for the price, is far coarser
+        grid = build_strike_grid(1000.0, 0.7, 1.0, n_side=4096)
         assert grid.error_estimate <= 1e-6
         for ratio in (0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0):
             s_terminal = 1000.0 * ratio
             exact = impermanent_loss(s_terminal / 1000.0 - 1.0)
             assert abs(replicate_il_payoff(grid, s_terminal) - exact) <= 1e-6
+        assert _default_grid_price_error(1000.0, 0.7, 1.0, 1e-6) <= 1e-6
 
     def test_doubling_halves_error_at_least(self):
         errors = []
@@ -107,13 +111,13 @@ class TestGridConstruction:
             assert fine <= coarse / 2.0
 
     def test_node_cap_is_domain_error_naming_inputs(self, monkeypatch):
-        # 1e-12 is out of reach; a lower cap stops the doubling sooner
+        # sigma*sqrt(tau) = 5e-8 needs a log step far below 5/256; a lower cap stops sooner
         monkeypatch.setattr("lpgreeks.replication._N_CAP", 256)
         with pytest.raises(DomainError) as excinfo:
-            build_strike_grid(1000.0, 0.7, 0.25, target_tol=1e-12)
+            build_strike_grid(1000.0, 1e-7, 0.25)
         message = str(excinfo.value)
         assert "256 nodes per side" in message
-        assert "target_tol=1e-12" in message and "sigma=0.7" in message
+        assert "target_tol=1e-05" in message and "sigma=1e-07" in message
         assert "tau=0.25" in message
 
     @settings(max_examples=40, deadline=None)
@@ -137,9 +141,10 @@ class TestGridConstruction:
 
     @pytest.mark.parametrize("s0", [1e-150, 1e152])
     def test_entry_price_inside_the_density_range_builds(self, s0):
-        grid = build_strike_grid(s0, 0.7, 0.5)
+        grid = build_strike_grid(s0, 0.7, 0.5, n_side=1024)
         assert grid.error_estimate <= 1e-5
         assert grid.put_strikes[-1] == s0 == grid.call_strikes[0]
+        assert _default_grid_price_error(s0, 0.7, 0.5, 1e-5) <= 1e-5
 
     @pytest.mark.parametrize("edit,message", [
         (lambda g: {"put_strikes": np.concatenate(([-1.0], g.put_strikes[1:]))},
@@ -191,9 +196,9 @@ def _one_price_reconstruction(grid, s_terminal: float) -> float:
 
 
 class TestNestedRefinement:
-    """Each doubling reuses the coarse level's nodes; the grid it picks must carry the
-    bits of a fresh build at that level, and the one-pass reconstruction the bits of
-    one sum per price."""
+    """The grid must carry the bits of a fresh build at the level it picks, its
+    error_estimate those of the stride-2 halving difference, and the one-pass
+    reconstruction the bits of one sum per price."""
 
     def test_fuzzed_grids_equal_a_fresh_build_at_their_level(self, monkeypatch):
         rng = random.Random(20261018)
@@ -226,58 +231,55 @@ class TestNestedRefinement:
             assert type(single) is float and single.hex() == rows[-1].hex()
         assert built >= 1500 and pinned >= 400
 
-    def test_fuzzed_grids_choose_the_level_of_a_plain_refinement(self, monkeypatch):
+    def test_fuzzed_grids_take_the_smallest_rule_level(self, monkeypatch):
         rng = random.Random(20261019)
-        chosen = {"below 1024": 0, "1024": 0, "above 1024": 0, "capped at 128": 0,
+        chosen = {"64": 0, "above 64": 0, "sigma*sqrt(tau) = 0": 0, "capped at 128": 0,
                   "capped at 512": 0}
         for _ in range(600):
             s0, sigma, tau, target_tol, _ = _fuzz_case(rng)
-            monkeypatch.setattr(replication, "_N_CAP", rng.choice([128, 512, 1 << 21, 1 << 21]))
+            cap = rng.choice([128, 512, 1 << 21, 1 << 21])
+            monkeypatch.setattr(replication, "_N_CAP", cap)
+            half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
+            vol = sigma * math.sqrt(tau)
+            max_step = (math.pi * vol * math.sqrt(2.0 / math.log(1.0 / target_tol)) if vol > 0.0
+                        else math.sqrt(32.0 * target_tol))
             try:
                 grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol)
             except DomainError as exc:
-                level, err = _plain_refinement(s0, sigma, tau, target_tol)
-                assert err is None and f"reached {level} nodes per side" in str(exc)
-                chosen[f"capped at {level}"] += 1
+                if f"s0={s0!r}" in str(exc):  # an entry price past the density's float range
+                    continue
+                assert half_width / cap > max_step and f"reached {cap} nodes per side" in str(exc)
+                chosen[f"capped at {cap}"] += 1
                 continue
-            level, err = _plain_refinement(s0, sigma, tau, target_tol)
-            assert grid.scheme == f"trapezoid-log/{level}+{level}"
-            assert grid.error_estimate.hex() == err.hex()
-            half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
-            fresh = (*replication._side(s0, -half_width, 0.0, level),
-                     *replication._side(s0, 0.0, half_width, level))
+            n = len(grid.put_strikes) - 1
+            assert n >= 64 and n & (n - 1) == 0 and n <= cap
+            assert half_width / n <= max_step
+            assert n == 64 or half_width / (n // 2) > max_step
+            fresh = [(replication._side(s0, -half_width, 0.0, m),
+                      replication._side(s0, 0.0, half_width, m)) for m in (n, n // 2)]
             ours = (grid.put_strikes, grid.put_weights, grid.call_strikes, grid.call_weights)
-            for got, want in zip(ours, fresh):
+            for got, want in zip(ours, (*fresh[0][0], *fresh[0][1])):
                 assert got.tobytes() == want.tobytes()
-            chosen["1024" if level == 1024 else "below 1024" if level < 1024 else "above 1024"] += 1
+            prices = s0 * np.array([0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0])
+            fine, half = (replication._reconstruct(*sides, prices) for sides in fresh)
+            assert grid.error_estimate.hex() == float(np.max(np.abs(fine - half))).hex()
+            chosen["sigma*sqrt(tau) = 0" if vol == 0.0 else "64" if n == 64 else "above 64"] += 1
         assert min(chosen.values()) >= 15, chosen
 
 
-def _plain_refinement(s0: float, sigma: float, tau: float, target_tol: float) -> tuple:
-    """(level, error_estimate) of a refinement that builds every level afresh from 64 nodes
-    per side, or (level, None) where the level reaches the node cap unmet."""
-    half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
-    test_prices = s0 * np.array([0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0])
-
-    def profile(n: int) -> np.ndarray:
-        return replication._reconstruct(replication._side(s0, -half_width, 0.0, n),
-                                         replication._side(s0, 0.0, half_width, n), test_prices)
-
-    level, coarse = 64, profile(64)
-    while True:
-        level *= 2
-        fine = profile(level)
-        err = float(np.max(np.abs(fine - coarse)))
-        if err <= target_tol:
-            return level, err
-        if level >= replication._N_CAP:
-            return level, None
-        coarse = fine
+def _default_grid_price_error(k: float, sigma: float, tau: float, target_tol: float) -> float:
+    """|strip - closed| per unit notional for the gain contract struck at k, priced at the
+    money on the default grid for target_tol."""
+    market = MarketParams.from_rate_differential(0.03, sigma, 0.0)
+    contract = IgContract(notional_v0=1e4, strike_k=k, maturity_T=tau, t=0.0)
+    grid = build_strike_grid(k, sigma, tau, target_tol=target_tol)
+    return abs(price_ig_via_strip(contract, k, market, grid) - price_ig(contract, k, market)) / 1e4
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return build_strike_grid(1000.0, 0.7, 1.0, target_tol=1e-5)
+    # the payoff-sized level: reconstruction needs it, the price does not
+    return build_strike_grid(1000.0, 0.7, 1.0, n_side=2048)
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +298,7 @@ class TestPayoffReconstruction:
     def test_exact_surd_points(self, grid):
         assert replicate_il_payoff(grid, 4000.0) == pytest.approx(-0.5, abs=1e-4)
         assert replicate_il_payoff(grid, 250.0) == pytest.approx(-0.125, abs=1e-4)
+        assert _default_grid_price_error(1000.0, 0.7, 1.0, 1e-5) <= 1e-5
 
     def test_21_point_sweep(self, grid):
         for s_terminal in np.geomspace(100.0, 10000.0, 21):
@@ -378,6 +381,21 @@ class TestStripPricing:
         grid = build_strike_grid(1000.0, 0.0, 1.0, target_tol=1e-4)
         assert price_ig_via_strip(contract, 1000.0, market, grid) == 0.0
 
+    @pytest.mark.parametrize("r_f,spot", [(0.03, 1000.0), (-0.05, 1000.0), (0.1, 700.0),
+                                          (0.0, 1500.0), (0.4, 1000.0)])
+    def test_zero_vol_price_meets_the_intrinsic_kink_bound(self, r_f, spot):
+        # at sigma*sqrt(tau) = 0 the error is at most h**2/32 * disc*(1 + F/K)/2 per unit
+        # notional, and the grid's h <= sqrt(32*target_tol)
+        market = MarketParams.from_rate_differential(r_f, 0.0, 0.0)
+        contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=1.0, t=0.0)
+        scale = decay_factors(market, 1.0).gamma_disc * (
+            1.0 + forward_price(spot, market, 1.0) / 1000.0) / 2.0
+        for target_tol in (1e-3, 1e-5, 1e-7):
+            grid = build_strike_grid(1000.0, 0.0, 1.0, target_tol=target_tol)
+            miss = abs(price_ig_via_strip(contract, spot, market, grid)
+                       - price_ig(contract, spot, market))
+            assert miss <= target_tol * 1e4 * scale
+
     def test_tighter_tolerance_never_hurts(self, week_setup):
         market, contract, _ = week_setup
         closed = price_ig(contract, 1000.0, market)
@@ -388,15 +406,15 @@ class TestStripPricing:
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse
 
-    def test_monotone_convergence_in_node_count(self, week_setup):
+    def test_every_pinned_node_count_prices_to_1e_10(self, week_setup):
+        # with the kink term subtracted the error no longer falls as h**2: it is at the
+        # rounding floor from 64 nodes on
         market, contract, _ = week_setup
         closed = price_ig(contract, 1000.0, market)
-        errors = []
         for n in (64, 128, 256, 512, 1024):
             grid = build_strike_grid(1000.0, 0.7, WEEK_TAU, n_side=n)
-            errors.append(abs(price_ig_via_strip(contract, 1000.0, market, grid) - closed))
-        for coarse, fine in zip(errors, errors[1:]):
-            assert fine <= coarse
+            strip = price_ig_via_strip(contract, 1000.0, market, grid)
+            assert abs(strip - closed) <= 1e-10 * closed
 
     def test_bound_takes_the_limit_where_the_forward_underflows(self):
         # the forward 1e-300 * exp(-700) underflows to 0, so d -> -inf: the whole put tail
@@ -428,6 +446,81 @@ class TestStripPricing:
                              maturity_T=WEEK_TAU, t=0.0)
         with pytest.raises(DomainError):
             price_ig_via_strip(shifted, 1000.0, market, grid)
+
+    def test_bound_rejects_off_center_grid(self, week_setup):
+        market, _, grid = week_setup
+        shifted = IgContract(notional_v0=10000.0, strike_k=1111.0,
+                             maturity_T=WEEK_TAU, t=0.0)
+        with pytest.raises(DomainError, match="grid is not centered on the contract strike"):
+            strip_price_error_bound(shifted, 1000.0, market, grid)
+
+    @pytest.mark.parametrize("edit", [
+        lambda g: replace(g, put_strikes=np.concatenate(([g.put_strikes[0] * 0.99],
+                                                         g.put_strikes[1:]))),
+        lambda g: replace(g, call_strikes=np.concatenate((g.call_strikes[:-1],
+                                                          [g.call_strikes[-1] * 1.01]))),
+        lambda g: replace(g, put_strikes=g.put_strikes[1:], put_weights=g.put_weights[1:]),
+        lambda g: replication.StrikeGrid(1000.0, *[np.array([1000.0])] * 4, 900.0, 1100.0,
+                                         "hand", 0.0),
+    ])
+    def test_grid_without_one_uniform_step_is_domain_error(self, week_setup, edit):
+        # the kink term holds only for one log step h shared by both sides
+        market, contract, grid = week_setup
+        hand = edit(grid)
+        for route in (price_ig_via_strip, strip_price_error_bound):
+            with pytest.raises(DomainError) as excinfo:
+                route(contract, 1000.0, market, hand)
+            assert str(excinfo.value) == (f"strike grid {hand.scheme!r} has no uniform "
+                                          "log step on both sides")
+
+    def test_seeded_sweep_prices_within_bound_and_tolerance(self):
+        # the price misses the closed form by at most target_tol per unit notional plus the
+        # tail beyond the cuts, which centre on the strike, not on the forward: at long tau
+        # and |r_f*tau| of 2 to 5 that tail can exceed target_tol
+        rng = random.Random(20261019)
+        priced = 0
+        for _ in range(400):
+            while True:
+                sigma, tau = 10.0 ** rng.uniform(-3.0, 1.3), 10.0 ** rng.uniform(-4.0, 1.7)
+                if 1e-3 <= sigma * math.sqrt(tau) <= 20.0:
+                    break
+            k = math.exp(rng.uniform(-300.0, 300.0)) if rng.random() < 0.2 else 1000.0
+            spot, target_tol = k * rng.uniform(0.6, 1.6), rng.choice([1e-5, 1e-9])
+            market = MarketParams.from_rate_differential(rng.uniform(-0.1, 0.1), sigma, 0.0)
+            contract = IgContract(notional_v0=1e4, strike_k=k, maturity_T=tau, t=0.0)
+            try:
+                grid = build_strike_grid(k, sigma, tau, target_tol=target_tol)
+            except DomainError as exc:
+                assert str(exc).startswith("strip density 1/(4*K**1.5*sqrt(s0)) is not a "
+                                           f"positive float at the cut strikes"), exc
+                continue
+            miss = abs(price_ig_via_strip(contract, spot, market, grid)
+                       - price_ig(contract, spot, market))
+            tail = strip_price_error_bound(contract, spot, market,
+                                           replace(grid, error_estimate=0.0))
+            assert miss <= strip_price_error_bound(contract, spot, market, grid)
+            assert miss <= target_tol * 1e4 + tail, (sigma, tau, k, spot, target_tol)
+            priced += 1
+        assert priced >= 300
+
+
+class TestKinkTerm:
+    def test_closed_form_matches_the_bernoulli_series(self):
+        # x*coth(x) - 1 = sum_k B_2k * (2x)**2k / (2k)!, summed at 50 digits
+        def series(x: float):
+            with mpmath.workdps(50):
+                two_x, total, k = 2 * mpmath.mpf(x), mpmath.mpf(0), 1
+                while True:
+                    term = mpmath.bernoulli(2 * k) * two_x ** (2 * k) / mpmath.factorial(2 * k)
+                    total += term
+                    if abs(term) < mpmath.mpf(10) ** -30 * abs(total):
+                        return total
+                    k += 1
+
+        xs = [*np.geomspace(1e-4, 3.0, 41).tolist(), 0.25, math.nextafter(0.25, 1.0)]
+        for x in xs:
+            reference = series(x)
+            assert abs(replication._coth_minus_one(x) - reference) <= 2e-14 * reference, x
 
 
 class TestGridCsv:

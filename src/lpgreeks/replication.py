@@ -22,10 +22,8 @@ from scipy.special import ndtr
 from .errors import DomainError, require_finite, require_non_negative, require_positive
 from .pricing import IgContract, MarketParams, _factors, forward_price
 
-_TEST_RATIOS = np.array((0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0))
 _N_START = 64
 _N_CAP = 1 << 21
-_BLOCK = 1 << 16
 # c_k = 2**2k * B_2k / (2k)!, k = 7..1: x*coth(x) - 1 = sum_k c_k * x**2k, to 2 ulps for x <= 1/4
 _COTH_SERIES = (4 / 18243225, -1382 / 638512875, 2 / 93555, -1 / 4725, 2 / 945, -1 / 45, 1 / 3)
 
@@ -60,7 +58,8 @@ class StrikeGrid:
     the entry price up to upper_cut; each side is strictly ascending and the
     entry price carries a half trapezoid weight on both sides. weights already
     fold in |density| and the log-strike Jacobian, so a strip value is just
-    sum(weights * option values).
+    sum(weights * option values). price_tol is the price tolerance per unit notional that the
+    log step meets (see build_strike_grid and strip_price_error_bound).
     """
 
     entry_price: float
@@ -71,20 +70,24 @@ class StrikeGrid:
     lower_cut: float
     upper_cut: float
     scheme: str
-    error_estimate: float
+    price_tol: float
 
     def __post_init__(self) -> None:
         # one pass per check: the first strike is positive and every step ascends, so every
         # strike is; a compare with nan, or of inf with inf, is false and fails its check, and a
         # weights min is nan where any weight is
-        for strikes in (self.put_strikes, self.call_strikes):
-            if strikes.size and not (strikes[0] > 0.0 and (strikes[1:] > strikes[:-1]).all()):
+        for strikes, weights in ((self.put_strikes, self.put_weights),
+                                 (self.call_strikes, self.call_weights)):
+            if not 0 < strikes.size == weights.size:
+                raise DomainError("each side needs at least one strike and one weight per strike")
+            if not (strikes[0] > 0.0 and (strikes[1:] > strikes[:-1]).all()):
                 raise DomainError("strikes must be positive and strictly ascending")
-        for weights in (self.put_weights, self.call_weights):
-            if not weights.min(initial=math.inf) > 0.0:
+            if not weights.min() > 0.0:
                 raise DomainError("weights must be positive")
         if not self.lower_cut < self.entry_price < self.upper_cut:
             raise DomainError("cut bounds must bracket the entry price")
+        if not 0.0 <= self.price_tol < math.inf:
+            raise DomainError(f"price_tol must be finite and >= 0, got {self.price_tol!r}")
 
     @property
     def n_strikes(self) -> int:
@@ -110,19 +113,11 @@ def _side(s0: float, lo_u: float, hi_u: float, n_side: int) -> tuple:
     return strikes, coeff * strikes * _density_magnitude(strikes, s0)
 
 
-def _reconstruct(put, call, s_terminal: np.ndarray) -> np.ndarray:
-    """The strip's shortfall at each terminal price, one row per price (a one-price sum's
-    bits) in blocks of at most _BLOCK elements, from both sides' (strikes, weights)."""
-    step = max(1, _BLOCK // put[0].size)
-    blocks = [s_terminal[a:a + step, None] for a in range(0, len(s_terminal), step)]
-    return -np.concatenate([_leg(put[0] - b, put[1]) + _leg(b - call[0], call[1]) for b in blocks])
-
-
-def _leg(payoff: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row sums of max(payoff, 0) * weights, computed in place in payoff."""
+def _leg(payoff: np.ndarray, weights: np.ndarray) -> float:
+    """Sum of max(payoff, 0) * weights, computed in place in payoff."""
     np.maximum(payoff, 0.0, out=payoff)
     payoff *= weights
-    return payoff.sum(axis=-1)
+    return float(payoff.sum())
 
 
 def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1e-5,
@@ -130,20 +125,19 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
     """Build the strip grid over [s0 * e^-m, s0 * e^+m], m = max(8*sigma*sqrt(tau), 5), with
     n_side trapezoid nodes per side in u = log(K/s0), step h = m/n_side.
 
-    target_tol is the strip price's quadrature tolerance per unit notional. With its kink term
+    target_tol is the strip price's quadrature tolerance per unit notional, in units of the
+    kink term's prefactor disc*(1 + F/s0)/2 (1 at the money at rate 0). With its kink term
     subtracted (price_ig_via_strip) the price's error falls as exp(-2*pi**2*(v/h)**2) for
     v = sigma*sqrt(tau): n_side is the smallest power of two >= 64 with
     h <= pi*v*sqrt(2/ln(1/target_tol)). At v = 0 the integrand, disc*|e^(u/2) -
     (F/s0)*e^(-u/2)|/4 from u = 0 to log(F/s0) and 0 elsewhere, is convex up to its kink at the
     forward, and its slope varies by disc*(1 + F/s0)/8 in all; a trapezoid cell errs by at most
     h**2/8 times the variation on it, so the price errs by at most h**2/32 * disc*(1 + F/s0)/2
-    (1 at the money at rate 0) and h <= sqrt(32*target_tol). A DomainError names sigma, tau and
-    target_tol where that takes more than 2**21 nodes per side (v below about 2e-6 at the
-    default target_tol), and s0 where the density is not a positive float at a cut. n_side
-    pins the count. error_estimate is the largest difference of the shortfall reconstructed at
-    five test prices in [0.1*s0, 10*s0] between n_side nodes and its stride-2 half (every
-    second node, weights doubled: a fresh n_side // 2 build's bits; built afresh for an odd
-    n_side); it estimates replicate_il_payoff's error.
+    and h <= sqrt(32*target_tol). A DomainError names sigma, tau and target_tol where that
+    takes more than 2**21 nodes per side (v below about 2e-6 at the default target_tol), and s0
+    where the density is not a positive float at a cut. n_side pins the count. The grid's
+    price_tol is the tolerance its step meets under that rule: target_tol, or on a pinned
+    n_side coarser than the rule exp(-2*pi**2*(v/h)**2), or h**2/32 at v = 0.
     """
     require_positive("s0", s0)
     require_non_negative("sigma", sigma)
@@ -154,7 +148,6 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
         raise DomainError(f"n_side must be >= 2, got {n_side!r}")
 
     half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
-    bounds = (-half_width, 0.0), (0.0, half_width)
     with np.errstate(all="ignore"):  # the density falls with K: the cuts bound every node
         cuts = s0 * np.exp(np.array((-half_width, half_width)))
         top, bottom = _density_magnitude(cuts, s0).tolist()
@@ -162,35 +155,37 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
         raise DomainError(f"strip density 1/(4*K**1.5*sqrt(s0)) is not a positive float at "
                           f"the cut strikes s0*exp(+-{half_width!r}) for s0={s0!r}")
 
+    vol = sigma * math.sqrt(tau)
+    max_step = (math.pi * vol * math.sqrt(-2.0 / math.log(target_tol)) if vol > 0.0
+                else math.sqrt(32.0 * target_tol))
     if n_side is None:
-        vol = sigma * math.sqrt(tau)
-        max_step = (math.pi * vol * math.sqrt(-2.0 / math.log(target_tol)) if vol > 0.0
-                    else math.sqrt(32.0 * target_tol))
         n_side = _N_START
         while half_width / n_side > max_step:
             n_side *= 2
             if n_side > _N_CAP:
                 raise DomainError(f"strike grid reached {_N_CAP} nodes per side without meeting "
                                   f"target_tol={target_tol!r} at sigma={sigma!r}, tau={tau!r}")
+    h, price_tol = half_width / n_side, target_tol
+    if h > max_step:  # a pinned n_side coarser than the rule
+        price_tol = max(target_tol, math.exp(-2.0 * (math.pi * vol / h) ** 2) if vol > 0.0
+                        else h * h / 32.0)
 
-    (put_k, put_w), (call_k, call_w) = fine = [_side(s0, lo, hi, n_side) for lo, hi in bounds]
-    half = ([(k[::2], 2.0 * w[::2]) for k, w in fine] if n_side % 2 == 0 else
-            [_side(s0, lo, hi, n_side // 2) for lo, hi in bounds])
-    prices = s0 * _TEST_RATIOS
-    err = float(np.max(np.abs(_reconstruct(*fine, prices) - _reconstruct(*half, prices))))
+    put_k, put_w = _side(s0, -half_width, 0.0, n_side)
+    call_k, call_w = _side(s0, 0.0, half_width, n_side)
     return StrikeGrid(entry_price=s0, put_strikes=put_k, put_weights=put_w,
                       call_strikes=call_k, call_weights=call_w, lower_cut=float(put_k[0]),
                       upper_cut=float(call_k[-1]), scheme=f"trapezoid-log/{n_side}+{n_side}",
-                      error_estimate=err)
+                      price_tol=price_tol)
 
 
 def replicate_il_payoff(grid: StrikeGrid, s_terminal: float) -> float:
     """Strip reconstruction of the shortfall at a terminal price. Inside the cut range its
-    quadrature error falls as h**2; the grid's error_estimate, the halving difference at five
-    test prices, estimates it."""
+    quadrature error falls only as h**2, not exponentially as the price's does, so a grid sized
+    for the price reconstructs the payoff coarsely: pin n_side in build_strike_grid for a
+    payoff-sized grid (4096 nodes per side meet 1e-6 at sigma*sqrt(tau) = 0.7)."""
     require_positive("s_terminal", s_terminal)
-    return float(_reconstruct((grid.put_strikes, grid.put_weights),
-                              (grid.call_strikes, grid.call_weights), np.array([s_terminal]))[0])
+    return -(_leg(grid.put_strikes - s_terminal, grid.put_weights)
+             + _leg(s_terminal - grid.call_strikes, grid.call_weights))
 
 
 def _lognormal(s_t: float, market: MarketParams, tau: float) -> tuple[float, float, float]:
@@ -282,15 +277,16 @@ def price_ig_via_strip(contract: IgContract, s_t: float, market: MarketParams,
 
 def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketParams,
                             grid: StrikeGrid) -> float:
-    """Combined error estimate for price_ig_via_strip, in token-y units: the grid's
-    error_estimate plus an analytic bound on the strip value lost beyond the cuts.
+    """A priori error bound for price_ig_via_strip, in token-y units:
+    v0 * (price_tol * disc*(1 + F/K)/2 + put_tail + call_tail).
 
-    The error_estimate is the payoff reconstruction's halving difference, of order h**2; the
-    price's own quadrature error, once its kink term is subtracted, is far smaller, so the
-    bound is loose. Put side: premiums below lower_cut are bounded by disc * K * N(-d2(cut)),
-    and the density integral of K below the cut is sqrt(cut)/(2*sqrt(s0)). Call side mirrors
-    with disc * F * N(d1(cut)) and density mass 1/(2*sqrt(cut*s0)). A DomainError where the
-    grid is one price_ig_via_strip refuses, or where the bound is not finite.
+    The first term is the quadrature error the grid's step meets under build_strike_grid's
+    sizing rule, times the kink term's own prefactor disc*(1 + F/K)/2, the amplitude the
+    v = 0 derivation there carries. The tails bound the strip value lost beyond the cuts.
+    Put side: premiums below lower_cut are bounded by disc * K * N(-d2(cut)), and the density
+    integral of K below the cut is sqrt(cut)/(2*sqrt(s0)). Call side mirrors with
+    disc * F * N(d1(cut)) and density mass 1/(2*sqrt(cut*s0)). A DomainError where the grid is
+    one price_ig_via_strip refuses, or where the bound is not finite.
     """
     _log_step(contract, grid)
     forward, disc, vol = _lognormal(s_t, market, contract.tau)
@@ -305,8 +301,9 @@ def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketPara
         p_call = float(ndtr(d_call + 0.5 * vol))
     put_tail = disc * p_put * math.sqrt(grid.lower_cut) / (2.0 * math.sqrt(s0))
     call_tail = disc * forward * p_call / (2.0 * math.sqrt(grid.upper_cut * s0))
+    quadrature = grid.price_tol * disc * (1.0 + forward / contract.strike_k) / 2.0
     return require_finite("strip error bound",
-                          contract.notional_v0 * (grid.error_estimate + (put_tail + call_tail)))
+                          contract.notional_v0 * (quadrature + put_tail + call_tail))
 
 
 def write_grid_csv(grid: StrikeGrid, path) -> None:

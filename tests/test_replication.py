@@ -95,7 +95,7 @@ class TestGridConstruction:
         # the payoff-sized level the reconstruction needs for 1e-6; the default grid, sized
         # for the price, is far coarser
         grid = build_strike_grid(1000.0, 0.7, 1.0, n_side=4096)
-        assert grid.error_estimate <= 1e-6
+        assert grid.price_tol == 1e-5  # finer than the rule needs: the default target_tol
         for ratio in (0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0):
             s_terminal = 1000.0 * ratio
             exact = impermanent_loss(s_terminal / 1000.0 - 1.0)
@@ -125,10 +125,11 @@ class TestGridConstruction:
            target_tol=st.floats(-7.0, -2.0).map(lambda e: 10.0 ** e))
     def test_pinned_node_count_repeats_the_adaptive_grid(self, s0, sigma, tau, target_tol):
         adaptive = build_strike_grid(s0, sigma, tau, target_tol=target_tol)
-        pinned = build_strike_grid(s0, sigma, tau, n_side=len(adaptive.put_strikes) - 1)
+        pinned = build_strike_grid(s0, sigma, tau, target_tol=target_tol,
+                                   n_side=len(adaptive.put_strikes) - 1)
         for name in ("put_strikes", "put_weights", "call_strikes", "call_weights"):
             assert np.array_equal(getattr(pinned, name), getattr(adaptive, name))
-        assert pinned.error_estimate == adaptive.error_estimate
+        assert pinned.price_tol == adaptive.price_tol == target_tol
         assert pinned.scheme == adaptive.scheme
 
     @pytest.mark.parametrize("s0", [1e300, 1e200, 1e-200, 1e-300])
@@ -142,7 +143,7 @@ class TestGridConstruction:
     @pytest.mark.parametrize("s0", [1e-150, 1e152])
     def test_entry_price_inside_the_density_range_builds(self, s0):
         grid = build_strike_grid(s0, 0.7, 0.5, n_side=1024)
-        assert grid.error_estimate <= 1e-5
+        assert grid.price_tol == 1e-5
         assert grid.put_strikes[-1] == s0 == grid.call_strikes[0]
         assert _default_grid_price_error(s0, 0.7, 0.5, 1e-5) <= 1e-5
 
@@ -162,6 +163,15 @@ class TestGridConstruction:
          "weights must be positive"),
         (lambda g: {"lower_cut": g.entry_price}, "cut bounds must bracket the entry price"),
         (lambda g: {"upper_cut": g.entry_price / 2.0}, "cut bounds must bracket the entry price"),
+        (lambda g: {"put_weights": g.put_weights[:-1]},
+         "each side needs at least one strike and one weight per strike"),
+        (lambda g: {"put_strikes": g.put_strikes[:0], "put_weights": g.put_weights[:0]},
+         "each side needs at least one strike and one weight per strike"),
+        (lambda g: {"call_strikes": g.call_strikes[:0]},
+         "each side needs at least one strike and one weight per strike"),
+        (lambda g: {"price_tol": -1e-9}, "price_tol must be finite and >= 0"),
+        (lambda g: {"price_tol": math.nan}, "price_tol must be finite and >= 0"),
+        (lambda g: {"price_tol": math.inf}, "price_tol must be finite and >= 0"),
     ])
     def test_hand_built_grid_is_checked(self, edit, message):
         grid = build_strike_grid(1000.0, 0.7, 1.0, n_side=64)
@@ -196,11 +206,10 @@ def _one_price_reconstruction(grid, s_terminal: float) -> float:
 
 
 class TestNestedRefinement:
-    """The grid must carry the bits of a fresh build at the level it picks, its
-    error_estimate those of the stride-2 halving difference, and the one-pass
-    reconstruction the bits of one sum per price."""
+    """The grid must carry the bits of a fresh build at the level it picks and the price_tol
+    its step meets, and the payoff reconstruction the bits of one sum per side."""
 
-    def test_fuzzed_grids_equal_a_fresh_build_at_their_level(self, monkeypatch):
+    def test_fuzzed_grids_equal_a_fresh_build_at_their_level(self):
         rng = random.Random(20261018)
         built = pinned = 0
         for _ in range(2000):
@@ -221,14 +230,17 @@ class TestNestedRefinement:
             for got, want in zip(ours, fresh):
                 assert got.tobytes() == want.tobytes()
 
-            # blocks of one row, of two rows and (for n < 10922) of all six
-            monkeypatch.setattr(replication, "_BLOCK", rng.choice([1, 3 * n, 1 << 16]))
+            # a pinned grid coarser than the rule meets a looser tolerance than target_tol
+            h, vol = half_width / n, sigma * math.sqrt(tau)
+            step_tol = math.exp(-2.0 * (math.pi * vol / h) ** 2) if vol > 0.0 else h * h / 32.0
+            assert grid.price_tol == target_tol or (
+                n_side is not None and grid.price_tol == step_tol > target_tol)
+
             prices = s0 * np.array([0.1, 0.5, 1.0, 2.0, 10.0, rng.uniform(0.01, 20.0)])
-            rows = replication._reconstruct(ours[:2], ours[2:], prices)
-            for s_terminal, row in zip(prices.tolist(), rows.tolist()):
-                assert row.hex() == _one_price_reconstruction(grid, s_terminal).hex()
-            single = replicate_il_payoff(grid, prices[-1].item())
-            assert type(single) is float and single.hex() == rows[-1].hex()
+            for s_terminal in prices.tolist():
+                single = replicate_il_payoff(grid, s_terminal)
+                assert type(single) is float
+                assert single.hex() == _one_price_reconstruction(grid, s_terminal).hex()
         assert built >= 1500 and pinned >= 400
 
     def test_fuzzed_grids_take_the_smallest_rule_level(self, monkeypatch):
@@ -255,14 +267,12 @@ class TestNestedRefinement:
             assert n >= 64 and n & (n - 1) == 0 and n <= cap
             assert half_width / n <= max_step
             assert n == 64 or half_width / (n // 2) > max_step
-            fresh = [(replication._side(s0, -half_width, 0.0, m),
-                      replication._side(s0, 0.0, half_width, m)) for m in (n, n // 2)]
+            fresh = (*replication._side(s0, -half_width, 0.0, n),
+                     *replication._side(s0, 0.0, half_width, n))
             ours = (grid.put_strikes, grid.put_weights, grid.call_strikes, grid.call_weights)
-            for got, want in zip(ours, (*fresh[0][0], *fresh[0][1])):
+            for got, want in zip(ours, fresh):
                 assert got.tobytes() == want.tobytes()
-            prices = s0 * np.array([0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0])
-            fine, half = (replication._reconstruct(*sides, prices) for sides in fresh)
-            assert grid.error_estimate.hex() == float(np.max(np.abs(fine - half))).hex()
+            assert grid.price_tol == target_tol
             chosen["sigma*sqrt(tau) = 0" if vol == 0.0 else "64" if n == 64 else "above 64"] += 1
         assert min(chosen.values()) >= 15, chosen
 
@@ -303,8 +313,7 @@ class TestPayoffReconstruction:
     def test_21_point_sweep(self, grid):
         for s_terminal in np.geomspace(100.0, 10000.0, 21):
             exact = impermanent_loss(s_terminal / 1000.0 - 1.0)
-            assert abs(replicate_il_payoff(grid, s_terminal)
-                       - exact) <= max(grid.error_estimate, 1e-5)
+            assert abs(replicate_il_payoff(grid, s_terminal) - exact) <= 1e-5
 
     def test_rejects_non_positive_terminal(self, grid):
         with pytest.raises(DomainError):
@@ -418,15 +427,15 @@ class TestStripPricing:
 
     def test_bound_takes_the_limit_where_the_forward_underflows(self):
         # the forward 1e-300 * exp(-700) underflows to 0, so d -> -inf: the whole put tail
-        # counts and no call tail does
+        # counts and no call tail does, and the quadrature term's F/K is 0
         market = MarketParams.from_rate_differential(-700.0, 0.7, 0.0)
         contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=1.0, t=0.0)
         grid = build_strike_grid(1000.0, 0.7, 1.0)
-        assert forward_price(1e-300, market, 1.0) == 0.0
-        put_tail = (decay_factors(market, 1.0).gamma_disc * math.sqrt(grid.lower_cut)
-                    / (2.0 * math.sqrt(1000.0)))
+        assert forward_price(1e-300, market, 1.0) == 0.0 and grid.price_tol == 1e-5
+        disc = decay_factors(market, 1.0).gamma_disc
+        put_tail = disc * math.sqrt(grid.lower_cut) / (2.0 * math.sqrt(1000.0))
         assert strip_price_error_bound(contract, 1e-300, market, grid) == (
-            1e4 * (grid.error_estimate + put_tail))
+            1e4 * (grid.price_tol * disc / 2.0 + put_tail))
 
     def test_bound_that_overflows_is_a_domain_error(self):
         # disc = exp(626 * 1.1) ~ 1e300 times sqrt(lower_cut) ~ 1e47 overflows: the bound
@@ -496,12 +505,33 @@ class TestStripPricing:
                 continue
             miss = abs(price_ig_via_strip(contract, spot, market, grid)
                        - price_ig(contract, spot, market))
-            tail = strip_price_error_bound(contract, spot, market,
-                                           replace(grid, error_estimate=0.0))
+            tail = strip_price_error_bound(contract, spot, market, replace(grid, price_tol=0.0))
             assert miss <= strip_price_error_bound(contract, spot, market, grid)
             assert miss <= target_tol * 1e4 + tail, (sigma, tau, k, spot, target_tol)
             priced += 1
         assert priced >= 300
+
+    def test_pinned_grids_price_within_their_own_bound(self):
+        # a pinned n_side, odd or even, coarser or finer than the rule, meets the price_tol its
+        # step gives; at sigma = 0 the h**2/32 rule is attained (worst miss/bound 0.9994 here)
+        rng = random.Random(20261020)
+        kinds = dict.fromkeys(("sigma = 0", "coarser", "finer", "odd", "even"), 0)
+        for _ in range(400):
+            sigma = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3.0, 0.5)
+            tau, spot = 10.0 ** rng.uniform(-2.0, 1.0), 1000.0 * rng.uniform(0.6, 1.6)
+            target_tol = rng.choice([1e-3, 1e-5, 1e-9])
+            n_side = rng.choice([rng.randrange(2, 64), rng.randrange(64, 4096)])
+            market = MarketParams.from_rate_differential(rng.uniform(-0.1, 0.1), sigma, 0.0)
+            contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=tau, t=0.0)
+            grid = build_strike_grid(1000.0, sigma, tau, target_tol=target_tol, n_side=n_side)
+            miss = abs(price_ig_via_strip(contract, spot, market, grid)
+                       - price_ig(contract, spot, market))
+            assert miss <= strip_price_error_bound(contract, spot, market, grid), (
+                sigma, tau, spot, target_tol, n_side)
+            kinds["sigma = 0"] += sigma == 0.0
+            kinds["coarser" if grid.price_tol > target_tol else "finer"] += 1
+            kinds["odd" if n_side % 2 else "even"] += 1
+        assert min(kinds.values()) >= 80, kinds
 
 
 class TestKinkTerm:
@@ -521,6 +551,32 @@ class TestKinkTerm:
         for x in xs:
             reference = series(x)
             assert abs(replication._coth_minus_one(x) - reference) <= 2e-14 * reference, x
+
+    @pytest.mark.parametrize("mutant", [lambda coth: lambda x: 0.0,
+                                        lambda coth: lambda x: -coth(x)],
+                             ids=["dropped", "sign-flipped"])
+    def test_bound_catches_a_broken_kink_term(self, monkeypatch, mutant):
+        # risk-sweep-style scenarios on default grids: the strip misses by far less than its
+        # bound, and by more than it once the kink term is dropped (12.7 bounds at the least)
+        rng = random.Random(20261021)
+        scenarios = []
+        for _ in range(200):
+            market = MarketParams.from_rate_differential(rng.uniform(-0.05, 0.10),
+                                                         rng.uniform(0.2, 1.5), 0.0)
+            contract = IgContract(notional_v0=1e4, strike_k=1000.0,
+                                  maturity_T=rng.uniform(0.1, 2.0), t=0.0)
+            grid = build_strike_grid(1000.0, market.sigma, contract.tau)
+            scenarios.append((contract, 1000.0 * rng.uniform(0.6, 1.6), market, grid))
+
+        def misses():
+            for contract, spot, market, grid in scenarios:
+                miss = abs(price_ig_via_strip(contract, spot, market, grid)
+                           - price_ig(contract, spot, market))
+                yield miss / strip_price_error_bound(contract, spot, market, grid)
+
+        assert max(misses()) <= 1e-6
+        monkeypatch.setattr(replication, "_coth_minus_one", mutant(replication._coth_minus_one))
+        assert min(misses()) > 1.0
 
 
 class TestGridCsv:

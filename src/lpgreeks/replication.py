@@ -58,8 +58,8 @@ class StrikeGrid:
     the entry price up to upper_cut; each side is strictly ascending and the
     entry price carries a half trapezoid weight on both sides. weights already
     fold in |density| and the log-strike Jacobian, so a strip value is just
-    sum(weights * option values). price_tol is the price tolerance per unit notional that the
-    log step meets (see build_strike_grid and strip_price_error_bound).
+    sum(weights * option values). price_tol is the price tolerance per unit notional the grid
+    was sized for (see build_strike_grid and strip_price_error_bound).
     """
 
     entry_price: float
@@ -135,9 +135,8 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
     h**2/8 times the variation on it, so the price errs by at most h**2/32 * disc*(1 + F/s0)/2
     and h <= sqrt(32*target_tol). A DomainError names sigma, tau and target_tol where that
     takes more than 2**21 nodes per side (v below about 2e-6 at the default target_tol), and s0
-    where the density is not a positive float at a cut. n_side pins the count. The grid's
-    price_tol is the tolerance its step meets under that rule: target_tol, or on a pinned
-    n_side coarser than the rule exp(-2*pi**2*(v/h)**2), or h**2/32 at v = 0.
+    where the density is not a positive float at a cut. n_side pins the count; price_tol is
+    target_tol either way (strip_price_error_bound covers a pinned step coarser than the rule).
     """
     require_positive("s0", s0)
     require_non_negative("sigma", sigma)
@@ -155,27 +154,23 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
         raise DomainError(f"strip density 1/(4*K**1.5*sqrt(s0)) is not a positive float at "
                           f"the cut strikes s0*exp(+-{half_width!r}) for s0={s0!r}")
 
-    vol = sigma * math.sqrt(tau)
-    max_step = (math.pi * vol * math.sqrt(-2.0 / math.log(target_tol)) if vol > 0.0
-                else math.sqrt(32.0 * target_tol))
     if n_side is None:
+        vol = sigma * math.sqrt(tau)
+        max_step = (math.pi * vol * math.sqrt(-2.0 / math.log(target_tol)) if vol > 0.0
+                    else math.sqrt(32.0 * target_tol))
         n_side = _N_START
         while half_width / n_side > max_step:
             n_side *= 2
             if n_side > _N_CAP:
                 raise DomainError(f"strike grid reached {_N_CAP} nodes per side without meeting "
                                   f"target_tol={target_tol!r} at sigma={sigma!r}, tau={tau!r}")
-    h, price_tol = half_width / n_side, target_tol
-    if h > max_step:  # a pinned n_side coarser than the rule
-        price_tol = max(target_tol, math.exp(-2.0 * (math.pi * vol / h) ** 2) if vol > 0.0
-                        else h * h / 32.0)
 
     put_k, put_w = _side(s0, -half_width, 0.0, n_side)
     call_k, call_w = _side(s0, 0.0, half_width, n_side)
     return StrikeGrid(entry_price=s0, put_strikes=put_k, put_weights=put_w,
                       call_strikes=call_k, call_weights=call_w, lower_cut=float(put_k[0]),
                       upper_cut=float(call_k[-1]), scheme=f"trapezoid-log/{n_side}+{n_side}",
-                      price_tol=price_tol)
+                      price_tol=target_tol)
 
 
 def replicate_il_payoff(grid: StrikeGrid, s_terminal: float) -> float:
@@ -275,22 +270,10 @@ def price_ig_via_strip(contract: IgContract, s_t: float, market: MarketParams,
     return require_finite("strip premium", contract.notional_v0 * total)
 
 
-def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketParams,
-                            grid: StrikeGrid) -> float:
-    """A priori error bound for price_ig_via_strip, in token-y units:
-    v0 * (price_tol * disc*(1 + F/K)/2 + put_tail + call_tail).
-
-    The first term is the quadrature error the grid's step meets under build_strike_grid's
-    sizing rule, times the kink term's own prefactor disc*(1 + F/K)/2, the amplitude the
-    v = 0 derivation there carries. The tails bound the strip value lost beyond the cuts.
-    Put side: premiums below lower_cut are bounded by disc * K * N(-d2(cut)), and the density
-    integral of K below the cut is sqrt(cut)/(2*sqrt(s0)). Call side mirrors with
-    disc * F * N(d1(cut)) and density mass 1/(2*sqrt(cut*s0)). A DomainError where the grid is
-    one price_ig_via_strip refuses, or where the bound is not finite.
-    """
-    _log_step(contract, grid)
-    forward, disc, vol = _lognormal(s_t, market, contract.tau)
-    s0 = grid.entry_price
+def _tails(forward: float, disc: float, vol: float, grid: StrikeGrid) -> float:
+    """The strip value per unit notional beyond the cuts: below lower_cut a put is worth at most
+    disc*K*N(-d2(cut)) on density mass sqrt(cut)/(2*sqrt(s0)) in K, and above upper_cut a call
+    at most disc*F*N(d1(cut)) on density mass 1/(2*sqrt(cut*s0))."""
     if vol == 0.0:
         p_put = 1.0 if forward <= grid.lower_cut else 0.0
         p_call = 1.0 if forward >= grid.upper_cut else 0.0
@@ -299,11 +282,30 @@ def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketPara
                          for ratio in (forward / grid.lower_cut, forward / grid.upper_cut))
         p_put = float(ndtr(-(d_put - 0.5 * vol)))
         p_call = float(ndtr(d_call + 0.5 * vol))
-    put_tail = disc * p_put * math.sqrt(grid.lower_cut) / (2.0 * math.sqrt(s0))
-    call_tail = disc * forward * p_call / (2.0 * math.sqrt(grid.upper_cut * s0))
-    quadrature = grid.price_tol * disc * (1.0 + forward / contract.strike_k) / 2.0
-    return require_finite("strip error bound",
-                          contract.notional_v0 * (quadrature + put_tail + call_tail))
+    s0 = grid.entry_price
+    return (disc * p_put * math.sqrt(grid.lower_cut) / (2.0 * math.sqrt(s0))
+            + disc * forward * p_call / (2.0 * math.sqrt(grid.upper_cut * s0)))
+
+
+def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketParams,
+                            grid: StrikeGrid) -> float:
+    """A priori error bound for price_ig_via_strip, in token-y units:
+    v0 * ((tol + rounding) * disc*(1 + F/K)/2 + _tails). tol is the larger of price_tol and the
+    error of the grid's log step h under build_strike_grid's rule at this market's
+    v = sigma*sqrt(tau), exp(-2*pi**2*(v/h)**2) or h**2/32 at v = 0, so the bound holds on a
+    grid pinned coarser or sized for another market too. disc*(1 + F/K)/2 is the kink term's
+    own prefactor; the strip's n_strikes terms (price, kink term and quadrature error) sum to
+    at most that prefactor times x*coth(x) + tol, x = h/4, and rounding is n_strikes*eps times
+    that. A DomainError where price_ig_via_strip refuses the grid or the bound is not finite.
+    """
+    h = _log_step(contract, grid)
+    forward, disc, vol = _lognormal(s_t, market, contract.tau)
+    step_tol = math.exp(-2.0 * (math.pi * vol / h) ** 2) if vol > 0.0 else h * h / 32.0
+    tol = max(grid.price_tol, step_tol)
+    rounding = grid.n_strikes * math.ulp(1.0) * (0.25 * h / math.tanh(0.25 * h) + tol)
+    quadrature = (tol + rounding) * disc * (1.0 + forward / contract.strike_k) / 2.0
+    return require_finite("strip error bound", contract.notional_v0 * (
+        quadrature + _tails(forward, disc, vol, grid)))
 
 
 def write_grid_csv(grid: StrikeGrid, path) -> None:

@@ -143,8 +143,10 @@ class TestGridConstruction:
     @pytest.mark.parametrize("s0", [1e-150, 1e152])
     def test_entry_price_inside_the_density_range_builds(self, s0):
         grid = build_strike_grid(s0, 0.7, 0.5, n_side=1024)
-        assert grid.price_tol == 1e-5
         assert grid.put_strikes[-1] == s0 == grid.call_strikes[0]
+        for ratio in (0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0):
+            exact = impermanent_loss(ratio - 1.0)
+            assert abs(replicate_il_payoff(grid, s0 * ratio) - exact) <= 1e-5
         assert _default_grid_price_error(s0, 0.7, 0.5, 1e-5) <= 1e-5
 
     @pytest.mark.parametrize("edit,message", [
@@ -206,8 +208,8 @@ def _one_price_reconstruction(grid, s_terminal: float) -> float:
 
 
 class TestNestedRefinement:
-    """The grid must carry the bits of a fresh build at the level it picks and the price_tol
-    its step meets, and the payoff reconstruction the bits of one sum per side."""
+    """The grid must carry the bits of a fresh build at the level it picks and its target_tol,
+    and the payoff reconstruction the bits of one sum per side."""
 
     def test_fuzzed_grids_equal_a_fresh_build_at_their_level(self):
         rng = random.Random(20261018)
@@ -230,11 +232,7 @@ class TestNestedRefinement:
             for got, want in zip(ours, fresh):
                 assert got.tobytes() == want.tobytes()
 
-            # a pinned grid coarser than the rule meets a looser tolerance than target_tol
-            h, vol = half_width / n, sigma * math.sqrt(tau)
-            step_tol = math.exp(-2.0 * (math.pi * vol / h) ** 2) if vol > 0.0 else h * h / 32.0
-            assert grid.price_tol == target_tol or (
-                n_side is not None and grid.price_tol == step_tol > target_tol)
+            assert grid.price_tol == target_tol
 
             prices = s0 * np.array([0.1, 0.5, 1.0, 2.0, 10.0, rng.uniform(0.01, 20.0)])
             for s_terminal in prices.tolist():
@@ -434,8 +432,46 @@ class TestStripPricing:
         assert forward_price(1e-300, market, 1.0) == 0.0 and grid.price_tol == 1e-5
         disc = decay_factors(market, 1.0).gamma_disc
         put_tail = disc * math.sqrt(grid.lower_cut) / (2.0 * math.sqrt(1000.0))
-        assert strip_price_error_bound(contract, 1e-300, market, grid) == (
-            1e4 * (grid.price_tol * disc / 2.0 + put_tail))
+        x = 0.25 * math.log(grid.upper_cut / 1000.0) / (grid.call_strikes.size - 1)
+        rounding = grid.n_strikes * math.ulp(1.0) * (x / math.tanh(x) + 1e-5)
+        assert strip_price_error_bound(contract, 1e-300, market, grid) == pytest.approx(
+            1e4 * ((1e-5 + rounding) * disc / 2.0 + put_tail), rel=1e-15)
+
+    def test_bound_holds_on_a_grid_sized_for_another_market(self):
+        # the bound takes the step's tolerance from the market it prices under: a grid sized
+        # for a higher sigma is too coarse for a lower one, and its target_tol alone, with the
+        # tails, falls short of the miss
+        rng = random.Random(20261022)
+        short = 0
+        for _ in range(200):
+            grid_sigma, sigma = 10.0 ** rng.uniform(-1.0, 0.3), 10.0 ** rng.uniform(-2.5, 0.3)
+            tau, spot = 10.0 ** rng.uniform(-2.0, 0.5), 1000.0 * rng.uniform(0.6, 1.6)
+            target_tol = rng.choice([1e-3, 1e-5, 1e-9])
+            market = MarketParams.from_rate_differential(rng.uniform(-0.1, 0.1), sigma, 0.0)
+            contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=tau, t=0.0)
+            grid = build_strike_grid(1000.0, grid_sigma, tau, target_tol=target_tol)
+            miss = abs(price_ig_via_strip(contract, spot, market, grid)
+                       - price_ig(contract, spot, market))
+            assert miss <= strip_price_error_bound(contract, spot, market, grid), (
+                grid_sigma, sigma, tau, spot, target_tol)
+            forward, disc, vol = replication._lognormal(spot, market, tau)
+            own = target_tol * disc * (1.0 + forward / 1000.0) / 2.0
+            short += miss > 1e4 * (own + replication._tails(forward, disc, vol, grid))
+        assert short >= 40
+
+    def test_bound_holds_at_a_target_tol_near_machine_precision(self):
+        # at target_tol 1e-16 the miss is rounding, which the bound's n*eps term covers;
+        # without that term a third of such cases miss by up to 3.1 bounds
+        rng = random.Random(20261023)
+        for _ in range(100):
+            sigma, tau = 10.0 ** rng.uniform(-1.5, 0.3), 10.0 ** rng.uniform(-2.0, 0.7)
+            spot = 1000.0 * rng.uniform(0.6, 1.6)
+            market = MarketParams.from_rate_differential(rng.uniform(-0.1, 0.1), sigma, 0.0)
+            contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=tau, t=0.0)
+            grid = build_strike_grid(1000.0, sigma, tau, target_tol=1e-16)
+            miss = abs(price_ig_via_strip(contract, spot, market, grid)
+                       - price_ig(contract, spot, market))
+            assert miss <= strip_price_error_bound(contract, spot, market, grid), (sigma, tau)
 
     def test_bound_that_overflows_is_a_domain_error(self):
         # disc = exp(626 * 1.1) ~ 1e300 times sqrt(lower_cut) ~ 1e47 overflows: the bound
@@ -505,14 +541,14 @@ class TestStripPricing:
                 continue
             miss = abs(price_ig_via_strip(contract, spot, market, grid)
                        - price_ig(contract, spot, market))
-            tail = strip_price_error_bound(contract, spot, market, replace(grid, price_tol=0.0))
+            tail = 1e4 * replication._tails(*replication._lognormal(spot, market, tau), grid)
             assert miss <= strip_price_error_bound(contract, spot, market, grid)
             assert miss <= target_tol * 1e4 + tail, (sigma, tau, k, spot, target_tol)
             priced += 1
         assert priced >= 300
 
     def test_pinned_grids_price_within_their_own_bound(self):
-        # a pinned n_side, odd or even, coarser or finer than the rule, meets the price_tol its
+        # a pinned n_side, odd or even, coarser or finer than the rule, meets the tolerance its
         # step gives; at sigma = 0 the h**2/32 rule is attained (worst miss/bound 0.9994 here)
         rng = random.Random(20261020)
         kinds = dict.fromkeys(("sigma = 0", "coarser", "finer", "odd", "even"), 0)
@@ -529,7 +565,9 @@ class TestStripPricing:
             assert miss <= strip_price_error_bound(contract, spot, market, grid), (
                 sigma, tau, spot, target_tol, n_side)
             kinds["sigma = 0"] += sigma == 0.0
-            kinds["coarser" if grid.price_tol > target_tol else "finer"] += 1
+            h, vol = math.log(grid.upper_cut / 1000.0) / n_side, sigma * math.sqrt(tau)
+            step_tol = math.exp(-2.0 * (math.pi * vol / h) ** 2) if vol > 0.0 else h * h / 32.0
+            kinds["coarser" if step_tol > target_tol else "finer"] += 1
             kinds["odd" if n_side % 2 else "even"] += 1
         assert min(kinds.values()) >= 80, kinds
 

@@ -4,16 +4,17 @@ The shortfall payoff has a strictly negative second strike-derivative, so the
 LP is synthetically short a continuum of puts below the entry price and calls
 above it; the gain contract is long the same strip. Discretizing the strip on
 a log-strike trapezoid grid gives both a payoff reconstruction and a pricer
-that is independent of the closed forms up to quadrature and truncation error.
+that is independent of the closed forms up to quadrature and truncation error;
+a grid is given by its sizing rule alone and derives its strikes from it.
 
 Strip summation uses fixed-order numpy reductions only, so results are
-bit-reproducible; grids are immutable after construction.
+bit-reproducible; grids and their arrays are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,46 +53,64 @@ def strip_density(k_strike: float, s0: float) -> float:
 
 @dataclass(frozen=True)
 class StrikeGrid:
-    """Discretized strike strip with density-weighted quadrature weights.
+    """Log-strike trapezoid strip given by its rule: entry_price, half_width, n_side, price_tol.
 
-    Put strikes run from lower_cut up to the entry price and call strikes from
-    the entry price up to upper_cut; each side is strictly ascending and the
-    entry price carries a half trapezoid weight on both sides. weights already
-    fold in |density| and the log-strike Jacobian, so a strip value is just
-    sum(weights * option values). price_tol is the price tolerance per unit notional the grid
-    was sized for (see build_strike_grid and strip_price_error_bound).
+    Each side has n_side + 1 nodes one log step h = half_width/n_side apart, puts from
+    lower_cut = entry_price*e^-half_width up to the entry price and calls from it up to
+    upper_cut; the entry price carries a half trapezoid weight on both sides. weights fold in
+    |density| and the log-strike Jacobian, so a strip value is sum(weights * option values).
+    The arrays are built once, read-only, and not compared or hashed. price_tol is the price
+    tolerance per unit notional the grid was sized for (see strip_price_error_bound).
     """
 
     entry_price: float
-    put_strikes: np.ndarray
-    put_weights: np.ndarray
-    call_strikes: np.ndarray
-    call_weights: np.ndarray
-    lower_cut: float
-    upper_cut: float
-    scheme: str
+    half_width: float
+    n_side: int
     price_tol: float
+    put_strikes: np.ndarray = field(init=False, repr=False, compare=False)
+    put_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    call_strikes: np.ndarray = field(init=False, repr=False, compare=False)
+    call_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # one pass per check: the first strike is positive and every step ascends, so every
-        # strike is; a compare with nan, or of inf with inf, is false and fails its check, and a
-        # weights min is nan where any weight is
-        for strikes, weights in ((self.put_strikes, self.put_weights),
-                                 (self.call_strikes, self.call_weights)):
-            if not 0 < strikes.size == weights.size:
-                raise DomainError("each side needs at least one strike and one weight per strike")
-            if not (strikes[0] > 0.0 and (strikes[1:] > strikes[:-1]).all()):
-                raise DomainError("strikes must be positive and strictly ascending")
-            if not weights.min() > 0.0:
-                raise DomainError("weights must be positive")
-        if not self.lower_cut < self.entry_price < self.upper_cut:
-            raise DomainError("cut bounds must bracket the entry price")
+        s0, half_width, n_side = self.entry_price, self.half_width, self.n_side
+        require_positive("entry_price", s0)
+        require_positive("half_width", half_width)
+        if not (isinstance(n_side, int) and 2 <= n_side <= _N_CAP):
+            raise DomainError(f"n_side must be an int in [2, {_N_CAP}], got {n_side!r}")
         if not 0.0 <= self.price_tol < math.inf:
             raise DomainError(f"price_tol must be finite and >= 0, got {self.price_tol!r}")
+        with np.errstate(all="ignore"):  # the density falls with K: the cuts bound every node
+            cuts = s0 * np.exp(np.array((-half_width, half_width)))
+            top, bottom = _density_magnitude(cuts, s0).tolist()
+        if not 0.0 < bottom <= top < math.inf:
+            raise DomainError(f"strip density 1/(4*K**1.5*sqrt(s0)) is not a positive float at "
+                              f"the cut strikes s0*exp(+-{half_width!r}) for s0={s0!r}")
+        arrays = (*_side(s0, -half_width, 0.0, n_side), *_side(s0, 0.0, half_width, n_side))
+        for name, array in zip(("put_strikes", "put_weights", "call_strikes", "call_weights"),
+                               arrays):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @property
+    def lower_cut(self) -> float:
+        return float(self.put_strikes[0])
+
+    @property
+    def upper_cut(self) -> float:
+        return float(self.call_strikes[-1])
+
+    @property
+    def log_step(self) -> float:
+        return self.half_width / self.n_side
+
+    @property
+    def scheme(self) -> str:
+        return f"trapezoid-log/{self.n_side}+{self.n_side}"
 
     @property
     def n_strikes(self) -> int:
-        return len(self.put_strikes) + len(self.call_strikes)
+        return 2 * (self.n_side + 1)
 
 
 @dataclass(frozen=True)
@@ -134,26 +153,17 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
     forward, and its slope varies by disc*(1 + F/s0)/8 in all; a trapezoid cell errs by at most
     h**2/8 times the variation on it, so the price errs by at most h**2/32 * disc*(1 + F/s0)/2
     and h <= sqrt(32*target_tol). A DomainError names sigma, tau and target_tol where that
-    takes more than 2**21 nodes per side (v below about 2e-6 at the default target_tol), and s0
-    where the density is not a positive float at a cut. n_side pins the count; price_tol is
-    target_tol either way (strip_price_error_bound covers a pinned step coarser than the rule).
+    takes more than 2**21 nodes per side (v below about 2e-6 at the default target_tol). n_side
+    pins the count; price_tol is target_tol either way (strip_price_error_bound covers a pinned
+    step coarser than the rule). StrikeGrid checks s0 (as entry_price), n_side and the density
+    at the cuts.
     """
-    require_positive("s0", s0)
     require_non_negative("sigma", sigma)
     require_non_negative("tau", tau)
     if not (math.isfinite(target_tol) and 0.0 < target_tol <= 1e-2):
         raise DomainError(f"target_tol must lie in (0, 1e-2], got {target_tol!r}")
-    if n_side is not None and n_side < 2:
-        raise DomainError(f"n_side must be >= 2, got {n_side!r}")
 
     half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
-    with np.errstate(all="ignore"):  # the density falls with K: the cuts bound every node
-        cuts = s0 * np.exp(np.array((-half_width, half_width)))
-        top, bottom = _density_magnitude(cuts, s0).tolist()
-    if not 0.0 < bottom <= top < math.inf:
-        raise DomainError(f"strip density 1/(4*K**1.5*sqrt(s0)) is not a positive float at "
-                          f"the cut strikes s0*exp(+-{half_width!r}) for s0={s0!r}")
-
     if n_side is None:
         vol = sigma * math.sqrt(tau)
         max_step = (math.pi * vol * math.sqrt(-2.0 / math.log(target_tol)) if vol > 0.0
@@ -164,13 +174,7 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
             if n_side > _N_CAP:
                 raise DomainError(f"strike grid reached {_N_CAP} nodes per side without meeting "
                                   f"target_tol={target_tol!r} at sigma={sigma!r}, tau={tau!r}")
-
-    put_k, put_w = _side(s0, -half_width, 0.0, n_side)
-    call_k, call_w = _side(s0, 0.0, half_width, n_side)
-    return StrikeGrid(entry_price=s0, put_strikes=put_k, put_weights=put_w,
-                      call_strikes=call_k, call_weights=call_w, lower_cut=float(put_k[0]),
-                      upper_cut=float(call_k[-1]), scheme=f"trapezoid-log/{n_side}+{n_side}",
-                      price_tol=target_tol)
+    return StrikeGrid(s0, half_width, n_side, target_tol)
 
 
 def replicate_il_payoff(grid: StrikeGrid, s_terminal: float) -> float:
@@ -223,20 +227,11 @@ def vanilla_price(strike: float, s_t: float, market: MarketParams, tau: float,
 
 
 def _log_step(contract: IgContract, grid: StrikeGrid) -> float:
-    """The log-strike step h off the call side's cut and node count; a DomainError where the
-    grid is not centered on the contract strike, or where the put side's mean step or a side's
-    first or last step is not h (the kink term needs one uniform step on both sides)."""
+    """The grid's log-strike step h; a DomainError where the grid is not centered on the
+    contract strike."""
     if not math.isclose(grid.entry_price, contract.strike_k, rel_tol=1e-9):
         raise DomainError("grid is not centered on the contract strike")
-    put, call = grid.put_strikes, grid.call_strikes
-    if min(put.size, call.size) > 1:
-        h = math.log(grid.upper_cut / grid.entry_price) / (call.size - 1)
-        steps = (math.log(grid.entry_price / grid.lower_cut) / (put.size - 1),
-                 math.log(put[1] / put[0]), math.log(put[-1] / put[-2]),
-                 math.log(call[1] / call[0]), math.log(call[-1] / call[-2]))
-        if all(math.isclose(step, h, rel_tol=1e-6) for step in steps):
-            return h
-    raise DomainError(f"strike grid {grid.scheme!r} has no uniform log step on both sides")
+    return grid.log_step
 
 
 def _coth_minus_one(x: float) -> float:
@@ -257,7 +252,7 @@ def price_ig_via_strip(contract: IgContract, s_t: float, market: MarketParams,
     exponentially small error of a smooth integrand (see build_strike_grid) and the tail
     beyond the cuts (see strip_price_error_bound). At sigma*sqrt(tau) = 0 the values are
     intrinsic and the term is skipped. A DomainError where the grid is not centered on the
-    contract strike, or names its scheme where both sides do not share one uniform log step.
+    contract strike.
     """
     require_positive("s_t", s_t)
     h = _log_step(contract, grid)

@@ -1,7 +1,8 @@
 import csv
 import math
 import random
-from dataclasses import replace
+import re
+from dataclasses import FrozenInstanceError
 
 import mpmath
 import numpy as np
@@ -130,7 +131,7 @@ class TestGridConstruction:
         for name in ("put_strikes", "put_weights", "call_strikes", "call_weights"):
             assert np.array_equal(getattr(pinned, name), getattr(adaptive, name))
         assert pinned.price_tol == adaptive.price_tol == target_tol
-        assert pinned.scheme == adaptive.scheme
+        assert pinned.scheme == adaptive.scheme and pinned == adaptive
 
     @pytest.mark.parametrize("s0", [1e300, 1e200, 1e-200, 1e-300])
     def test_extreme_entry_price_is_domain_error_naming_s0(self, s0):
@@ -149,41 +150,60 @@ class TestGridConstruction:
             assert abs(replicate_il_payoff(grid, s0 * ratio) - exact) <= 1e-5
         assert _default_grid_price_error(s0, 0.7, 0.5, 1e-5) <= 1e-5
 
-    @pytest.mark.parametrize("edit,message", [
-        (lambda g: {"put_strikes": np.concatenate(([-1.0], g.put_strikes[1:]))},
-         "strikes must be positive and strictly ascending"),
-        (lambda g: {"call_strikes": g.call_strikes[::-1].copy()},
-         "strikes must be positive and strictly ascending"),
-        (lambda g: {"put_strikes": np.where(np.arange(g.put_strikes.size) == 5, np.nan,
-                                            g.put_strikes)},
-         "strikes must be positive and strictly ascending"),
-        (lambda g: {"call_strikes": np.concatenate((g.call_strikes[:-2], [np.inf, np.inf]))},
-         "strikes must be positive and strictly ascending"),
-        (lambda g: {"call_weights": np.concatenate((g.call_weights[:-1], [0.0]))},
-         "weights must be positive"),
-        (lambda g: {"put_weights": np.concatenate(([np.nan], g.put_weights[1:]))},
-         "weights must be positive"),
-        (lambda g: {"lower_cut": g.entry_price}, "cut bounds must bracket the entry price"),
-        (lambda g: {"upper_cut": g.entry_price / 2.0}, "cut bounds must bracket the entry price"),
-        (lambda g: {"put_weights": g.put_weights[:-1]},
-         "each side needs at least one strike and one weight per strike"),
-        (lambda g: {"put_strikes": g.put_strikes[:0], "put_weights": g.put_weights[:0]},
-         "each side needs at least one strike and one weight per strike"),
-        (lambda g: {"call_strikes": g.call_strikes[:0]},
-         "each side needs at least one strike and one weight per strike"),
-        (lambda g: {"price_tol": -1e-9}, "price_tol must be finite and >= 0"),
-        (lambda g: {"price_tol": math.nan}, "price_tol must be finite and >= 0"),
-        (lambda g: {"price_tol": math.inf}, "price_tol must be finite and >= 0"),
+    @pytest.mark.parametrize("fields,message", [
+        ({"entry_price": 0.0}, "entry_price must be positive and finite"),
+        ({"entry_price": -1000.0}, "entry_price must be positive and finite"),
+        ({"entry_price": math.nan}, "entry_price must be positive and finite"),
+        ({"entry_price": math.inf}, "entry_price must be positive and finite"),
+        ({"entry_price": 1e300}, "strip density 1/(4*K**1.5*sqrt(s0)) is not a positive float"),
+        ({"half_width": 0.0}, "half_width must be positive and finite"),
+        ({"half_width": -5.0}, "half_width must be positive and finite"),
+        ({"half_width": math.nan}, "half_width must be positive and finite"),
+        ({"half_width": math.inf}, "half_width must be positive and finite"),
+        ({"n_side": 1}, "n_side must be an int in [2, 2097152], got 1"),
+        ({"n_side": 64.0}, "n_side must be an int in [2, 2097152], got 64.0"),
+        ({"n_side": (1 << 21) + 1}, "n_side must be an int in [2, 2097152], got 2097153"),
+        ({"price_tol": -1e-9}, "price_tol must be finite and >= 0"),
+        ({"price_tol": math.nan}, "price_tol must be finite and >= 0"),
+        ({"price_tol": math.inf}, "price_tol must be finite and >= 0"),
     ])
-    def test_hand_built_grid_is_checked(self, edit, message):
-        grid = build_strike_grid(1000.0, 0.7, 1.0, n_side=64)
-        with pytest.raises(DomainError, match=message):
-            replace(grid, **edit(grid))
+    def test_hand_built_grid_is_checked(self, fields, message):
+        rule = {"entry_price": 1000.0, "half_width": 5.6, "n_side": 64, "price_tol": 1e-5}
+        replication.StrikeGrid(**rule)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            replication.StrikeGrid(**{**rule, **fields})
 
-    def test_hand_built_grid_of_single_strikes_builds(self):
-        one = np.array([1000.0])
-        grid = replication.StrikeGrid(1000.0, one, one, one, one, 900.0, 1100.0, "hand", 0.0)
-        assert grid.n_strikes == 2
+    def test_pinned_n_side_obeys_the_node_cap(self, monkeypatch):
+        # the sizing loop's cap bounds a pinned count too, before any array is allocated
+        monkeypatch.setattr(replication, "_N_CAP", 256)
+        assert build_strike_grid(1000.0, 0.7, 1.0, n_side=256).n_strikes == 514
+        with pytest.raises(DomainError, match=re.escape("n_side must be an int in [2, 256]")):
+            build_strike_grid(1000.0, 0.7, 1.0, n_side=512)
+
+    def test_grids_compare_and_hash_by_their_rule(self):
+        grid = build_strike_grid(1000.0, 0.7, 1.0)
+        same = build_strike_grid(1000.0, 0.7, 1.0)
+        assert grid == same and hash(grid) == hash(same) and len({grid, same}) == 1
+        assert grid == replication.StrikeGrid(1000.0, 5.6, 64, 1e-5)
+        for other in (build_strike_grid(1000.0, 0.7, 1.0, n_side=128),
+                      build_strike_grid(1000.0, 0.7, 1.0, target_tol=1e-6),
+                      build_strike_grid(1001.0, 0.7, 1.0), build_strike_grid(1000.0, 0.8, 1.0)):
+            assert grid != other
+
+    def test_grid_arrays_are_read_only(self):
+        grid = build_strike_grid(1000.0, 0.7, 1.0)
+        for name in ("put_strikes", "put_weights", "call_strikes", "call_weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, name)[:] = -1.0
+        with pytest.raises(FrozenInstanceError):
+            grid.n_side = 128
+
+    def test_hand_built_grid_of_fewest_nodes_builds(self):
+        grid = replication.StrikeGrid(1000.0, 5.0, 2, 0.0)
+        assert grid.n_strikes == 6 and grid.put_strikes[-1] == grid.call_strikes[0] == 1000.0
+        assert grid.lower_cut == pytest.approx(1000.0 * math.exp(-5.0), rel=1e-14)
+        assert grid.upper_cut == pytest.approx(1000.0 * math.exp(5.0), rel=1e-14)
+        assert replicate_il_payoff(grid, 1000.0) == 0.0
 
     def test_rejects_bad_tolerance(self):
         for bad in (0.0, -1e-3, 0.5):
@@ -224,7 +244,8 @@ class TestNestedRefinement:
             built += 1
             pinned += n_side is not None
             n = len(grid.put_strikes) - 1
-            assert grid.scheme == f"trapezoid-log/{n}+{n}"
+            assert grid.scheme == f"trapezoid-log/{n}+{n}" and grid.n_side == n
+            assert grid.log_step == math.log(grid.upper_cut / s0) / n
             half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
             fresh = (*replication._side(s0, -half_width, 0.0, n),
                      *replication._side(s0, 0.0, half_width, n))
@@ -432,7 +453,7 @@ class TestStripPricing:
         assert forward_price(1e-300, market, 1.0) == 0.0 and grid.price_tol == 1e-5
         disc = decay_factors(market, 1.0).gamma_disc
         put_tail = disc * math.sqrt(grid.lower_cut) / (2.0 * math.sqrt(1000.0))
-        x = 0.25 * math.log(grid.upper_cut / 1000.0) / (grid.call_strikes.size - 1)
+        x = 0.25 * grid.log_step
         rounding = grid.n_strikes * math.ulp(1.0) * (x / math.tanh(x) + 1e-5)
         assert strip_price_error_bound(contract, 1e-300, market, grid) == pytest.approx(
             1e4 * ((1e-5 + rounding) * disc / 2.0 + put_tail), rel=1e-15)
@@ -499,24 +520,14 @@ class TestStripPricing:
         with pytest.raises(DomainError, match="grid is not centered on the contract strike"):
             strip_price_error_bound(shifted, 1000.0, market, grid)
 
-    @pytest.mark.parametrize("edit", [
-        lambda g: replace(g, put_strikes=np.concatenate(([g.put_strikes[0] * 0.99],
-                                                         g.put_strikes[1:]))),
-        lambda g: replace(g, call_strikes=np.concatenate((g.call_strikes[:-1],
-                                                          [g.call_strikes[-1] * 1.01]))),
-        lambda g: replace(g, put_strikes=g.put_strikes[1:], put_weights=g.put_weights[1:]),
-        lambda g: replication.StrikeGrid(1000.0, *[np.array([1000.0])] * 4, 900.0, 1100.0,
-                                         "hand", 0.0),
-    ])
-    def test_grid_without_one_uniform_step_is_domain_error(self, week_setup, edit):
-        # the kink term holds only for one log step h shared by both sides
+    def test_hand_built_grid_has_one_uniform_log_step(self, week_setup):
+        # the kink term takes h = log_step from the rule: both sides must step by it
         market, contract, grid = week_setup
-        hand = edit(grid)
+        hand = replication.StrikeGrid(1000.0, grid.half_width, grid.n_side, grid.price_tol)
+        for strikes in (hand.put_strikes, hand.call_strikes):
+            assert np.allclose(np.diff(np.log(strikes)), hand.log_step, rtol=1e-9, atol=0.0)
         for route in (price_ig_via_strip, strip_price_error_bound):
-            with pytest.raises(DomainError) as excinfo:
-                route(contract, 1000.0, market, hand)
-            assert str(excinfo.value) == (f"strike grid {hand.scheme!r} has no uniform "
-                                          "log step on both sides")
+            assert route(contract, 1000.0, market, hand) == route(contract, 1000.0, market, grid)
 
     def test_seeded_sweep_prices_within_bound_and_tolerance(self):
         # the price misses the closed form by at most target_tol per unit notional plus the
@@ -565,7 +576,7 @@ class TestStripPricing:
             assert miss <= strip_price_error_bound(contract, spot, market, grid), (
                 sigma, tau, spot, target_tol, n_side)
             kinds["sigma = 0"] += sigma == 0.0
-            h, vol = math.log(grid.upper_cut / 1000.0) / n_side, sigma * math.sqrt(tau)
+            h, vol = grid.log_step, sigma * math.sqrt(tau)
             step_tol = math.exp(-2.0 * (math.pi * vol / h) ** 2) if vol > 0.0 else h * h / 32.0
             kinds["coarser" if step_tol > target_tol else "finer"] += 1
             kinds["odd" if n_side % 2 else "even"] += 1

@@ -7,8 +7,10 @@ a log-strike trapezoid grid gives both a payoff reconstruction and a pricer
 that is independent of the closed forms up to quadrature and truncation error;
 a grid is given by its sizing rule alone and derives its strikes from it.
 
-Strip summation uses fixed-order numpy reductions only, so results are
-bit-reproducible; grids and their arrays are immutable after construction.
+A grid holds one node array, puts first and then calls, and the strip is priced
+in one Black pass over it. Summation uses fixed-order numpy reductions only, one
+per side, so results are bit-reproducible; grids and their arrays are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -57,20 +59,22 @@ class StrikeGrid:
 
     Each side has n_side + 1 nodes one log step h = half_width/n_side apart, puts from
     lower_cut = entry_price*e^-half_width up to the entry price and calls from it up to
-    upper_cut; the entry price carries a half trapezoid weight on both sides. weights fold in
-    |density| and the log-strike Jacobian, so a strip value is sum(weights * option values).
-    The arrays are built once, read-only, and not compared or hashed. price_tol is the price
-    tolerance per unit notional the grid was sized for (see strip_price_error_bound).
+    upper_cut; the entry price carries a half trapezoid weight on both sides. The grid holds one
+    node array, strikes (puts first, then calls), and one weights array that folds in |density|
+    and the log-strike Jacobian, so a strip value is sum(weights * option values); put_strikes,
+    put_weights, call_strikes and call_weights are views of their halves. The arrays are built
+    once, read-only, and not compared or hashed. The density 1/(4*K**1.5*sqrt(s0)) is read at
+    the built end nodes, which bound it on every node: a DomainError names s0 where it is not a
+    positive float there, with no numpy warning. price_tol is the price tolerance per unit
+    notional the grid was sized for (see strip_price_error_bound).
     """
 
     entry_price: float
     half_width: float
     n_side: int
     price_tol: float
-    put_strikes: np.ndarray = field(init=False, repr=False, compare=False)
-    put_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    call_strikes: np.ndarray = field(init=False, repr=False, compare=False)
-    call_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    strikes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s0, half_width, n_side = self.entry_price, self.half_width, self.n_side
@@ -80,25 +84,35 @@ class StrikeGrid:
             raise DomainError(f"n_side must be an int in [2, {_N_CAP}], got {n_side!r}")
         if not 0.0 <= self.price_tol < math.inf:
             raise DomainError(f"price_tol must be finite and >= 0, got {self.price_tol!r}")
-        with np.errstate(all="ignore"):  # the density falls with K: the cuts bound every node
-            cuts = s0 * np.exp(np.array((-half_width, half_width)))
-            top, bottom = _density_magnitude(cuts, s0).tolist()
-        if not 0.0 < bottom <= top < math.inf:
+        # i*h + start with exact end nodes, the bits of np.linspace on each side
+        step = half_width / n_side
+        u = np.arange(n_side + 1) * step
+        u = np.concatenate((u - half_width, u))
+        u[n_side], u[-1] = 0.0, half_width
+        with np.errstate(all="ignore"):  # the density falls with K: the end nodes bound it
+            strikes = s0 * np.exp(u)
+            density = _density_magnitude(strikes, s0)
+        if not 0.0 < density[-1] <= density[0] < math.inf:
             raise DomainError(f"strip density 1/(4*K**1.5*sqrt(s0)) is not a positive float at "
                               f"the cut strikes s0*exp(+-{half_width!r}) for s0={s0!r}")
-        arrays = (*_side(s0, -half_width, 0.0, n_side), *_side(s0, 0.0, half_width, n_side))
-        for name, array in zip(("put_strikes", "put_weights", "call_strikes", "call_weights"),
-                               arrays):
+        coeff = np.full(2 * n_side + 2, step)
+        coeff[0] = coeff[n_side] = coeff[n_side + 1] = coeff[-1] = 0.5 * step
+        for name, array in (("strikes", strikes), ("weights", coeff * strikes * density)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
+    put_strikes = property(lambda self: self.strikes[:self.n_side + 1])
+    put_weights = property(lambda self: self.weights[:self.n_side + 1])
+    call_strikes = property(lambda self: self.strikes[self.n_side + 1:])
+    call_weights = property(lambda self: self.weights[self.n_side + 1:])
+
     @property
     def lower_cut(self) -> float:
-        return float(self.put_strikes[0])
+        return float(self.strikes[0])
 
     @property
     def upper_cut(self) -> float:
-        return float(self.call_strikes[-1])
+        return float(self.strikes[-1])
 
     @property
     def log_step(self) -> float:
@@ -121,15 +135,6 @@ class VanillaQuote:
     tau: float
     kind: str
     premium: float
-
-
-def _side(s0: float, lo_u: float, hi_u: float, n_side: int) -> tuple:
-    """Trapezoid nodes and density-folded weights on one log-strike interval."""
-    du = (hi_u - lo_u) / n_side
-    strikes = s0 * np.exp(np.linspace(lo_u, hi_u, n_side + 1))
-    coeff = np.full(n_side + 1, du)
-    coeff[0] = coeff[-1] = 0.5 * du
-    return strikes, coeff * strikes * _density_magnitude(strikes, s0)
 
 
 def _leg(payoff: np.ndarray, weights: np.ndarray) -> float:
@@ -156,7 +161,7 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
     takes more than 2**21 nodes per side (v below about 2e-6 at the default target_tol). n_side
     pins the count; price_tol is target_tol either way (strip_price_error_bound covers a pinned
     step coarser than the rule). StrikeGrid checks s0 (as entry_price), n_side and the density
-    at the cuts.
+    at its end nodes, the cut strikes.
     """
     require_non_negative("sigma", sigma)
     require_non_negative("tau", tau)
@@ -192,24 +197,24 @@ def _lognormal(s_t: float, market: MarketParams, tau: float) -> tuple[float, flo
     return forward_price(s_t, market, tau), _factors(market, tau)[1], market.sigma * math.sqrt(tau)
 
 
-def _black_values(strikes, forward: float, disc: float, vol: float, is_call: bool) -> np.ndarray:
-    """Lognormal forward-model premiums, discounted at the rate differential.
+def _black_values(strikes, forward: float, disc: float, vol: float, sign) -> np.ndarray:
+    """Lognormal forward-model premiums, discounted at the rate differential, of a call where
+    sign is +1 and a put where it is -1 (a float, or one per strike).
 
-    At vol = sigma*sqrt(tau) = 0 this degenerates to discounted intrinsic value on
-    the forward. d saturates to +-inf for a vanishing vol or a forward/strike
-    ratio that overflows or underflows to 0, and ndtr then yields intrinsic
-    value; those intended limits do not warn. An overflowing premium is inf.
+    A premium is (s*F)*N(s*d1) - (s*K)*N(s*d2): negating F and K exactly, a put keeps the bits
+    of K*N(-d2) - F*N(-d1), a zero premium +0.0 included. At vol = sigma*sqrt(tau) = 0 this
+    degenerates to discounted intrinsic value on the forward. d saturates to +-inf for a
+    vanishing vol or a forward/strike ratio that overflows or underflows to 0, and ndtr then
+    yields intrinsic value; those intended limits do not warn. An overflowing premium is inf.
     """
     strikes = np.asarray(strikes, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):
+        signed_f, signed_k = sign * forward, sign * strikes
         if vol == 0.0:
-            undiscounted = np.maximum(forward - strikes, 0.0) if is_call \
-                else np.maximum(strikes - forward, 0.0)
+            undiscounted = np.maximum(signed_f - signed_k, 0.0)
         else:
             d1 = np.log(forward / strikes) / vol + 0.5 * vol
-            d2 = d1 - vol
-            undiscounted = forward * ndtr(d1) - strikes * ndtr(d2) if is_call \
-                else strikes * ndtr(-d2) - forward * ndtr(-d1)
+            undiscounted = signed_f * ndtr(sign * d1) - signed_k * ndtr(sign * (d1 - vol))
         return disc * undiscounted
 
 
@@ -222,7 +227,7 @@ def vanilla_price(strike: float, s_t: float, market: MarketParams, tau: float,
     if kind not in ("put", "call"):
         raise DomainError(f"kind must be 'put' or 'call', got {kind!r}")
     premium = require_finite(f"{kind} premium", float(
-        _black_values(strike, *_lognormal(s_t, market, tau), kind == "call")))
+        _black_values(strike, *_lognormal(s_t, market, tau), 1.0 if kind == "call" else -1.0)))
     return VanillaQuote(strike=float(strike), tau=float(tau), kind=kind, premium=premium)
 
 
@@ -237,7 +242,12 @@ def _log_step(contract: IgContract, grid: StrikeGrid) -> float:
 def _coth_minus_one(x: float) -> float:
     """x*coth(x) - 1 to about 1e-14 relative: its Maclaurin series up to x = 1/4, where the
     closed form would cancel, and the closed form beyond."""
-    return x / math.tanh(x) - 1.0 if x > 0.25 else x * x * float(np.polyval(_COTH_SERIES, x * x))
+    if x > 0.25:
+        return x / math.tanh(x) - 1.0
+    x2, series = x * x, 0.0
+    for c in _COTH_SERIES:  # Horner's rule, as np.polyval evaluates it
+        series = series * x2 + c
+    return x2 * series
 
 
 def price_ig_via_strip(contract: IgContract, s_t: float, market: MarketParams,
@@ -257,9 +267,11 @@ def price_ig_via_strip(contract: IgContract, s_t: float, market: MarketParams,
     require_positive("s_t", s_t)
     h = _log_step(contract, grid)
     forward, disc, vol = _lognormal(s_t, market, contract.tau)
-    puts = _black_values(grid.put_strikes, forward, disc, vol, is_call=False)
-    calls = _black_values(grid.call_strikes, forward, disc, vol, is_call=True)
-    total = float(np.sum(puts * grid.put_weights) + np.sum(calls * grid.call_weights))
+    n_puts = grid.n_side + 1
+    signs = np.ones(2 * n_puts)
+    signs[:n_puts] = -1.0  # puts first, then calls
+    legs = _black_values(grid.strikes, forward, disc, vol, signs) * grid.weights
+    total = float(legs[:n_puts].sum() + legs[n_puts:].sum())  # one sum would reorder the terms
     if vol > 0.0:
         total -= 0.5 * disc * (1.0 + forward / contract.strike_k) * _coth_minus_one(0.25 * h)
     return require_finite("strip premium", contract.notional_v0 * total)

@@ -3,12 +3,14 @@ import math
 import random
 import re
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from lpgreeks import (
     DomainError,
@@ -221,6 +223,19 @@ def _fuzz_case(rng: random.Random) -> tuple:
     return s0, sigma, tau, 10.0 ** rng.uniform(-7.0, -2.0), n_side
 
 
+def _linspace_sides(s0: float, half_width: float, n: int) -> tuple:
+    """(put strikes, put weights, call strikes, call weights), each side laid out on its own by
+    np.linspace with its own trapezoid coefficients and density."""
+    sides = []
+    for lo, hi in ((-half_width, 0.0), (0.0, half_width)):
+        du = (hi - lo) / n
+        strikes = s0 * np.exp(np.linspace(lo, hi, n + 1))
+        coeff = np.full(n + 1, du)
+        coeff[0] = coeff[-1] = 0.5 * du
+        sides += [strikes, coeff * strikes * replication._density_magnitude(strikes, s0)]
+    return tuple(sides)
+
+
 def _one_price_reconstruction(grid, s_terminal: float) -> float:
     put_leg = float(np.sum(np.maximum(grid.put_strikes - s_terminal, 0.0) * grid.put_weights))
     call_leg = float(np.sum(np.maximum(s_terminal - grid.call_strikes, 0.0) * grid.call_weights))
@@ -247,8 +262,7 @@ class TestNestedRefinement:
             assert grid.scheme == f"trapezoid-log/{n}+{n}" and grid.n_side == n
             assert grid.log_step == math.log(grid.upper_cut / s0) / n
             half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
-            fresh = (*replication._side(s0, -half_width, 0.0, n),
-                     *replication._side(s0, 0.0, half_width, n))
+            fresh = _linspace_sides(s0, half_width, n)
             ours = (grid.put_strikes, grid.put_weights, grid.call_strikes, grid.call_weights)
             for got, want in zip(ours, fresh):
                 assert got.tobytes() == want.tobytes()
@@ -286,14 +300,77 @@ class TestNestedRefinement:
             assert n >= 64 and n & (n - 1) == 0 and n <= cap
             assert half_width / n <= max_step
             assert n == 64 or half_width / (n // 2) > max_step
-            fresh = (*replication._side(s0, -half_width, 0.0, n),
-                     *replication._side(s0, 0.0, half_width, n))
+            fresh = _linspace_sides(s0, half_width, n)
             ours = (grid.put_strikes, grid.put_weights, grid.call_strikes, grid.call_weights)
             for got, want in zip(ours, fresh):
                 assert got.tobytes() == want.tobytes()
             assert grid.price_tol == target_tol
             chosen["sigma*sqrt(tau) = 0" if vol == 0.0 else "64" if n == 64 else "above 64"] += 1
         assert min(chosen.values()) >= 15, chosen
+
+
+def _per_side_black(strikes, forward: float, disc: float, vol: float, is_call: bool):
+    """Discounted Black premiums of one side, each kind typed out on its own."""
+    with np.errstate(over="ignore", divide="ignore"):
+        if vol == 0.0:
+            undiscounted = (np.maximum(forward - strikes, 0.0) if is_call
+                            else np.maximum(strikes - forward, 0.0))
+        else:
+            d1 = np.log(forward / strikes) / vol + 0.5 * vol
+            d2 = d1 - vol
+            undiscounted = (forward * ndtr(d1) - strikes * ndtr(d2) if is_call
+                            else strikes * ndtr(-d2) - forward * ndtr(-d1))
+        return disc * undiscounted
+
+
+class TestOneBlackPass:
+    """One Black pass over the grid's single node array keeps the bits of pricing each side on
+    its own linspace layout with its own formula and summing each side apart."""
+
+    def test_seeded_cases_keep_the_per_side_bits(self):
+        rng = random.Random(20261022)
+        seen = dict.fromkeys(("sigma*sqrt(tau) = 0", "forward = strike", "+0.0 put"), 0)
+        for case in range(1500):
+            s0, sigma, tau, target_tol, n_side = _fuzz_case(rng)
+            if case % 5 == 0:  # at rate 0 and spot = strike the forward is the strike
+                r_f, spot = 0.0, s0
+            else:
+                r_f, spot = rng.uniform(-0.5, 0.5), s0 * math.exp(rng.uniform(-4.0, 4.0))
+            market = MarketParams.from_rate_differential(r_f, sigma, 0.0)
+            contract = IgContract(notional_v0=1e4, strike_k=s0, maturity_T=tau, t=0.0)
+            forward, disc, vol = replication._lognormal(spot, market, tau)
+            seen["sigma*sqrt(tau) = 0"] += vol == 0.0
+            seen["forward = strike"] += forward == s0
+
+            for strike in (s0, forward, s0 * math.exp(rng.uniform(-12.0, 12.0))):
+                for kind in ("put", "call"):
+                    want = float(_per_side_black(np.float64(strike), forward, disc, vol,
+                                                 kind == "call"))
+                    got = vanilla_price(strike, spot, market, tau, kind).premium
+                    assert got.hex() == want.hex(), (s0, sigma, tau, r_f, spot, strike, kind)
+                    seen["+0.0 put"] += kind == "put" and want.hex() == "0x0.0p+0"
+
+            try:
+                grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol, n_side=n_side)
+            except DomainError:  # an entry price past the density's float range
+                continue
+            puts, put_w, calls, call_w = _linspace_sides(s0, grid.half_width, grid.n_side)
+            total = float(np.sum(_per_side_black(puts, forward, disc, vol, False) * put_w)
+                          + np.sum(_per_side_black(calls, forward, disc, vol, True) * call_w))
+            if vol > 0.0:
+                x = 0.25 * grid.log_step
+                coth = (x / math.tanh(x) - 1.0 if x > 0.25
+                        else x * x * float(np.polyval(replication._COTH_SERIES, x * x)))
+                total -= 0.5 * disc * (1.0 + forward / s0) * coth
+            got = price_ig_via_strip(contract, spot, market, grid)
+            assert got.hex() == (1e4 * total).hex(), (s0, sigma, tau, r_f, spot, n_side)
+
+            linspace_grid = SimpleNamespace(
+                entry_price=s0, price_tol=grid.price_tol, log_step=grid.log_step,
+                n_strikes=grid.n_strikes, lower_cut=float(puts[0]), upper_cut=float(calls[-1]))
+            want = strip_price_error_bound(contract, spot, market, linspace_grid)
+            assert strip_price_error_bound(contract, spot, market, grid).hex() == want.hex()
+        assert min(seen.values()) >= 100, seen
 
 
 def _default_grid_price_error(k: float, sigma: float, tau: float, target_tol: float) -> float:
@@ -600,6 +677,15 @@ class TestKinkTerm:
         for x in xs:
             reference = series(x)
             assert abs(replication._coth_minus_one(x) - reference) <= 2e-14 * reference, x
+
+    def test_series_keeps_the_bits_of_polyval(self):
+        rng = random.Random(20261023)
+        xs = [0.25, math.nextafter(0.25, 0.0), 5e-324, 1e-160, 1e-8]
+        xs += [0.25 * (1.0 - rng.random()) for _ in range(5000)]
+        xs += [0.25 * 10.0 ** -rng.uniform(0.0, 8.0) for _ in range(1000)]
+        for x in xs:
+            want = x * x * float(np.polyval(replication._COTH_SERIES, x * x))
+            assert replication._coth_minus_one(x).hex() == want.hex(), x
 
     @pytest.mark.parametrize("mutant", [lambda coth: lambda x: 0.0,
                                         lambda coth: lambda x: -coth(x)],

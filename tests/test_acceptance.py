@@ -17,6 +17,7 @@ from lpgreeks import (
     MarketParams,
     McConfig,
     McScenario,
+    StrikeGrid,
     build_strike_grid,
     expected_sqrt_price,
     fd_greek,
@@ -190,8 +191,9 @@ def test_criterion_5_greeks_verification():
 
 def test_criterion_6_replication_equivalence():
     with criterion(6, "strip replication equivalence", 10.0):
-        # the payoff needs the 1024-node level; the price, with its kink term, needs 64
-        grid = build_strike_grid(1000.0, 0.7, WEEK_TAU, n_side=1024)
+        # the payoff needs the 1024-node level over strikes from e^-5 to e^5 times the entry
+        # price; the price grid at a week spans only e^(+-0.66) and needs 6 nodes per side
+        grid = StrikeGrid(entry_price=1000.0, half_width=5.0, n_side=1024, price_tol=0.0)
         for s_terminal in np.geomspace(100.0, 10000.0, 21):
             exact = impermanent_loss(float(s_terminal) / 1000.0 - 1.0)
             assert abs(replicate_il_payoff(grid, float(s_terminal)) - exact) <= 1e-4

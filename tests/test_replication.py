@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 import math
 import random
 import re
 from dataclasses import FrozenInstanceError
-from types import SimpleNamespace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,8 +30,11 @@ from lpgreeks import (
     write_grid_csv,
 )
 from lpgreeks import replication
+from lpgreeks.config import load_config
+from lpgreeks.verify import STRIP_REL_TOL
 
 WEEK_TAU = 7.0 / 365.0
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestStripDensity:
@@ -74,6 +78,14 @@ class TestStripDensity:
         assert h_prime == 0.0
 
 
+def _rule(target_tol: float) -> tuple[float, int]:
+    """(a, n_side) of the sizing rule, typed out: cuts at a*v, and the fewest nodes per side
+    whose quadrature term exp(-2*pi**2*(n/a)**2) meets target_tol."""
+    log_inverse_tol = math.log(1.0 / target_tol)
+    a = math.sqrt(2.0 * log_inverse_tol) + 2.0
+    return a, math.ceil(a * math.sqrt(log_inverse_tol / 2.0) / math.pi)
+
+
 class TestGridConstruction:
     def test_entry_node_on_both_sides(self):
         grid = build_strike_grid(1000.0, 0.7, 1.0, target_tol=1e-4)
@@ -82,17 +94,24 @@ class TestGridConstruction:
 
     def test_cuts_and_monotonicity(self):
         grid = build_strike_grid(1000.0, 0.7, 1.0, target_tol=1e-4)
-        assert grid.lower_cut < 1000.0 < grid.upper_cut
-        assert grid.lower_cut == pytest.approx(1000.0 * math.exp(-5.6), rel=1e-12)
-        assert grid.upper_cut == pytest.approx(1000.0 * math.exp(5.6), rel=1e-12)
+        a, n_side = _rule(1e-4)
+        assert grid.half_width == pytest.approx(a * 0.7, rel=1e-15) and grid.n_side == n_side
+        assert grid.put_strikes[0] < 1000.0 < grid.call_strikes[-1]
+        assert grid.put_strikes[0] == pytest.approx(1000.0 * math.exp(-a * 0.7), rel=1e-14)
+        assert grid.call_strikes[-1] == pytest.approx(1000.0 * math.exp(a * 0.7), rel=1e-14)
         assert np.all(np.diff(grid.put_strikes) > 0.0)
         assert np.all(np.diff(grid.call_strikes) > 0.0)
         assert np.all(grid.put_weights > 0.0)
         assert np.all(grid.call_weights > 0.0)
 
     def test_minimum_half_width(self):
-        grid = build_strike_grid(1000.0, 0.1, 0.1, target_tol=1e-3)
-        assert grid.upper_cut == pytest.approx(1000.0 * math.exp(5.0), rel=1e-12)
+        # where sigma*sqrt(tau) is 0 so is the half width: the strip collapses onto its centre
+        for sigma, tau in ((0.0, 1.0), (0.7, 0.0)):
+            grid = build_strike_grid(1000.0, sigma, tau, target_tol=1e-3)
+            assert grid.half_width == 0.0 and grid.log_step == 0.0
+            assert grid.n_side == _rule(1e-3)[1] and grid.n_strikes == 2 * grid.n_side + 1
+            assert np.all(grid.put_strikes == 1000.0) and np.all(grid.call_strikes == 1000.0)
+            assert np.all(grid.put_weights == 0.0) and np.all(grid.call_weights == 0.0)
 
     def test_reported_estimate_meets_tolerance(self):
         # the payoff-sized level the reconstruction needs for 1e-6; the default grid, sized
@@ -113,16 +132,6 @@ class TestGridConstruction:
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse / 2.0
 
-    def test_node_cap_is_domain_error_naming_inputs(self, monkeypatch):
-        # sigma*sqrt(tau) = 5e-8 needs a log step far below 5/256; a lower cap stops sooner
-        monkeypatch.setattr("lpgreeks.replication._N_CAP", 256)
-        with pytest.raises(DomainError) as excinfo:
-            build_strike_grid(1000.0, 1e-7, 0.25)
-        message = str(excinfo.value)
-        assert "256 nodes per side" in message
-        assert "target_tol=1e-05" in message and "sigma=1e-07" in message
-        assert "tau=0.25" in message
-
     @settings(max_examples=40, deadline=None)
     @given(s0=st.floats(1e-3, 1e6), sigma=st.floats(0.05, 2.0), tau=st.floats(1e-3, 10.0),
            target_tol=st.floats(-7.0, -2.0).map(lambda e: 10.0 ** e))
@@ -135,13 +144,32 @@ class TestGridConstruction:
         assert pinned.price_tol == adaptive.price_tol == target_tol
         assert pinned.scheme == adaptive.scheme and pinned == adaptive
 
+    def test_default_node_count_depends_on_target_tol_only(self):
+        # the cuts scale with sigma*sqrt(tau) and so does the step: n_side never does
+        rng = random.Random(20261024)
+        for target_tol, n_side in ((1e-2, 3), (1e-5, 6), (1e-9, 9), (1e-15, 14)):
+            assert _rule(target_tol)[1] == n_side
+            for _ in range(50):
+                sigma = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-9.0, 1.3)
+                tau = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-6.0, 2.0)
+                s0 = math.exp(rng.uniform(-300.0, 300.0))
+                grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol)
+                assert grid.n_side == n_side and grid.n_strikes == 2 * n_side + 1
+                half_width = _rule(target_tol)[0] * sigma * math.sqrt(tau)
+                assert grid.half_width == pytest.approx(half_width, rel=1e-14)
+
     @pytest.mark.parametrize("s0", [1e300, 1e200, 1e-200, 1e-300])
-    def test_extreme_entry_price_is_domain_error_naming_s0(self, s0):
-        # the density denominator overflows at the upper cut or underflows at the lower one
-        with pytest.raises(DomainError) as excinfo:
-            build_strike_grid(s0, 0.7, 0.5)
-        assert f"s0={s0!r}" in str(excinfo.value)
-        assert "1/(4*K**1.5*sqrt(s0))" in str(excinfo.value)
+    def test_extreme_entry_price_prices_within_its_bound(self, s0):
+        # the strip is priced at a unit forward and scaled by sqrt(F/K0): no strike or density
+        # at the entry price's scale is ever formed, so no entry price is out of its range
+        market = MarketParams.from_rate_differential(0.03, 0.7, 0.0)
+        contract = IgContract(notional_v0=1e4, strike_k=s0, maturity_T=0.5, t=0.0)
+        grid = build_strike_grid(s0, 0.7, 0.5)
+        for spot in (0.5 * s0, s0, 1.5 * s0):
+            miss = abs(price_ig_via_strip(contract, spot, market, grid)
+                       - price_ig(contract, spot, market))
+            assert miss <= strip_price_error_bound(contract, spot, market, grid)
+            assert miss <= 1e-5 * 1e4
 
     @pytest.mark.parametrize("s0", [1e-150, 1e152])
     def test_entry_price_inside_the_density_range_builds(self, s0):
@@ -157,11 +185,11 @@ class TestGridConstruction:
         ({"entry_price": -1000.0}, "entry_price must be positive and finite"),
         ({"entry_price": math.nan}, "entry_price must be positive and finite"),
         ({"entry_price": math.inf}, "entry_price must be positive and finite"),
-        ({"entry_price": 1e300}, "strip density 1/(4*K**1.5*sqrt(s0)) is not a positive float"),
-        ({"half_width": 0.0}, "half_width must be positive and finite"),
-        ({"half_width": -5.0}, "half_width must be positive and finite"),
-        ({"half_width": math.nan}, "half_width must be positive and finite"),
-        ({"half_width": math.inf}, "half_width must be positive and finite"),
+        ({"entry_price": -math.inf}, "entry_price must be positive and finite"),
+        ({"half_width": -1e-300}, "half_width must be >= 0 and finite"),
+        ({"half_width": -5.0}, "half_width must be >= 0 and finite"),
+        ({"half_width": math.nan}, "half_width must be >= 0 and finite"),
+        ({"half_width": math.inf}, "half_width must be >= 0 and finite"),
         ({"n_side": 1}, "n_side must be an int in [2, 2097152], got 1"),
         ({"n_side": 64.0}, "n_side must be an int in [2, 2097152], got 64.0"),
         ({"n_side": (1 << 21) + 1}, "n_side must be an int in [2, 2097152], got 2097153"),
@@ -172,39 +200,47 @@ class TestGridConstruction:
     def test_hand_built_grid_is_checked(self, fields, message):
         rule = {"entry_price": 1000.0, "half_width": 5.6, "n_side": 64, "price_tol": 1e-5}
         replication.StrikeGrid(**rule)
+        replication.StrikeGrid(**{**rule, "half_width": 0.0})  # the empty strip of v = 0
         with pytest.raises(DomainError, match=re.escape(message)):
             replication.StrikeGrid(**{**rule, **fields})
 
-    def test_pinned_n_side_obeys_the_node_cap(self, monkeypatch):
-        # the sizing loop's cap bounds a pinned count too, before any array is allocated
-        monkeypatch.setattr(replication, "_N_CAP", 256)
-        assert build_strike_grid(1000.0, 0.7, 1.0, n_side=256).n_strikes == 514
-        with pytest.raises(DomainError, match=re.escape("n_side must be an int in [2, 256]")):
-            build_strike_grid(1000.0, 0.7, 1.0, n_side=512)
+    def test_pinned_n_side_obeys_the_node_cap(self):
+        # a pinned count is held to the 2**21 nodes per side the cached unit nodes may take; the
+        # build itself allocates nothing, even at the cap
+        grid = build_strike_grid(1000.0, 0.7, 1.0, n_side=1 << 21)
+        assert grid.n_strikes == (1 << 22) + 1
+        with pytest.raises(DomainError, match=re.escape("n_side must be an int in [2, 2097152]")):
+            build_strike_grid(1000.0, 0.7, 1.0, n_side=(1 << 21) + 1)
 
     def test_grids_compare_and_hash_by_their_rule(self):
         grid = build_strike_grid(1000.0, 0.7, 1.0)
         same = build_strike_grid(1000.0, 0.7, 1.0)
         assert grid == same and hash(grid) == hash(same) and len({grid, same}) == 1
-        assert grid == replication.StrikeGrid(1000.0, 5.6, 64, 1e-5)
+        a, n_side = _rule(1e-5)
+        assert grid == replication.StrikeGrid(1000.0, a * 0.7, n_side, 1e-5)
         for other in (build_strike_grid(1000.0, 0.7, 1.0, n_side=128),
                       build_strike_grid(1000.0, 0.7, 1.0, target_tol=1e-6),
                       build_strike_grid(1001.0, 0.7, 1.0), build_strike_grid(1000.0, 0.8, 1.0)):
             assert grid != other
 
     def test_grid_arrays_are_read_only(self):
+        # a grid holds its four scalars only; its node arrays are cached per n_side, read-only
         grid = build_strike_grid(1000.0, 0.7, 1.0)
-        for name in ("put_strikes", "put_weights", "call_strikes", "call_weights"):
+        assert [f.name for f in dataclasses.fields(grid)] == ["entry_price", "half_width", "n_side",
+                                                  "price_tol"]
+        nodes = replication._unit_nodes(grid.n_side)
+        assert replication._unit_nodes(grid.n_side) is nodes
+        for array in nodes:
             with pytest.raises(ValueError, match="read-only"):
-                getattr(grid, name)[:] = -1.0
+                array[:] = -1.0
         with pytest.raises(FrozenInstanceError):
             grid.n_side = 128
 
     def test_hand_built_grid_of_fewest_nodes_builds(self):
         grid = replication.StrikeGrid(1000.0, 5.0, 2, 0.0)
-        assert grid.n_strikes == 6 and grid.put_strikes[-1] == grid.call_strikes[0] == 1000.0
-        assert grid.lower_cut == pytest.approx(1000.0 * math.exp(-5.0), rel=1e-14)
-        assert grid.upper_cut == pytest.approx(1000.0 * math.exp(5.0), rel=1e-14)
+        assert grid.n_strikes == 5 and grid.put_strikes[-1] == grid.call_strikes[0] == 1000.0
+        assert grid.put_strikes[0] == pytest.approx(1000.0 * math.exp(-5.0), rel=1e-14)
+        assert grid.call_strikes[-1] == pytest.approx(1000.0 * math.exp(5.0), rel=1e-14)
         assert replicate_il_payoff(grid, 1000.0) == 0.0
 
     def test_rejects_bad_tolerance(self):
@@ -223,19 +259,6 @@ def _fuzz_case(rng: random.Random) -> tuple:
     return s0, sigma, tau, 10.0 ** rng.uniform(-7.0, -2.0), n_side
 
 
-def _linspace_sides(s0: float, half_width: float, n: int) -> tuple:
-    """(put strikes, put weights, call strikes, call weights), each side laid out on its own by
-    np.linspace with its own trapezoid coefficients and density."""
-    sides = []
-    for lo, hi in ((-half_width, 0.0), (0.0, half_width)):
-        du = (hi - lo) / n
-        strikes = s0 * np.exp(np.linspace(lo, hi, n + 1))
-        coeff = np.full(n + 1, du)
-        coeff[0] = coeff[-1] = 0.5 * du
-        sides += [strikes, coeff * strikes * replication._density_magnitude(strikes, s0)]
-    return tuple(sides)
-
-
 def _one_price_reconstruction(grid, s_terminal: float) -> float:
     put_leg = float(np.sum(np.maximum(grid.put_strikes - s_terminal, 0.0) * grid.put_weights))
     call_leg = float(np.sum(np.maximum(s_terminal - grid.call_strikes, 0.0) * grid.call_weights))
@@ -243,29 +266,31 @@ def _one_price_reconstruction(grid, s_terminal: float) -> float:
 
 
 class TestNestedRefinement:
-    """The grid must carry the bits of a fresh build at the level it picks and its target_tol,
-    and the payoff reconstruction the bits of one sum per side."""
+    """A grid must resolve at its entry price to the strikes and weights of its rule, and the
+    payoff reconstruction must carry the bits of one sum per side."""
 
     def test_fuzzed_grids_equal_a_fresh_build_at_their_level(self):
         rng = random.Random(20261018)
-        built = pinned = 0
+        pinned = 0
         for _ in range(2000):
             s0, sigma, tau, target_tol, n_side = _fuzz_case(rng)
-            try:
-                grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol, n_side=n_side)
-            except DomainError as exc:  # an entry price past the density's float range
-                assert f"s0={s0!r}" in str(exc)
-                continue
-            built += 1
+            grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol, n_side=n_side)
             pinned += n_side is not None
             n = len(grid.put_strikes) - 1
             assert grid.scheme == f"trapezoid-log/{n}+{n}" and grid.n_side == n
-            assert grid.log_step == math.log(grid.upper_cut / s0) / n
-            half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
-            fresh = _linspace_sides(s0, half_width, n)
-            ours = (grid.put_strikes, grid.put_weights, grid.call_strikes, grid.call_weights)
-            for got, want in zip(ours, fresh):
-                assert got.tobytes() == want.tobytes()
+            assert grid.n_strikes == 2 * n + 1 and grid.log_step == grid.half_width / n
+            assert grid.half_width == pytest.approx(_rule(target_tol)[0] * sigma * math.sqrt(tau),
+                                                        rel=1e-14)
+            # each side typed out: K = s0*e^u, weight coeff*h/(4*sqrt(K*s0)), half at both ends
+            for u, strikes, weights in (
+                    (grid.half_width * (np.arange(-n, 1) / n), grid.put_strikes, grid.put_weights),
+                    (grid.half_width * (np.arange(0, n + 1) / n), grid.call_strikes,
+                     grid.call_weights)):
+                assert strikes.tobytes() == (s0 * np.exp(u)).tobytes()
+                coeff = np.full(n + 1, grid.log_step)
+                coeff[0] = coeff[-1] = 0.5 * grid.log_step
+                want = coeff / (4.0 * np.sqrt(np.exp(u)) * s0)
+                assert np.allclose(weights, want, rtol=1e-14, atol=0.0)
 
             assert grid.price_tol == target_tol
 
@@ -274,38 +299,19 @@ class TestNestedRefinement:
                 single = replicate_il_payoff(grid, s_terminal)
                 assert type(single) is float
                 assert single.hex() == _one_price_reconstruction(grid, s_terminal).hex()
-        assert built >= 1500 and pinned >= 400
+        assert pinned >= 400
 
-    def test_fuzzed_grids_take_the_smallest_rule_level(self, monkeypatch):
+    def test_fuzzed_grids_take_the_smallest_rule_level(self):
         rng = random.Random(20261019)
-        chosen = {"64": 0, "above 64": 0, "sigma*sqrt(tau) = 0": 0, "capped at 128": 0,
-                  "capped at 512": 0}
+        chosen = dict.fromkeys((3, 4, 5, 6, 7), 0)  # target_tol from 1e-2 to 1e-7
         for _ in range(600):
             s0, sigma, tau, target_tol, _ = _fuzz_case(rng)
-            cap = rng.choice([128, 512, 1 << 21, 1 << 21])
-            monkeypatch.setattr(replication, "_N_CAP", cap)
-            half_width = max(8.0 * sigma * math.sqrt(tau), 5.0)
-            vol = sigma * math.sqrt(tau)
-            max_step = (math.pi * vol * math.sqrt(2.0 / math.log(1.0 / target_tol)) if vol > 0.0
-                        else math.sqrt(32.0 * target_tol))
-            try:
-                grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol)
-            except DomainError as exc:
-                if f"s0={s0!r}" in str(exc):  # an entry price past the density's float range
-                    continue
-                assert half_width / cap > max_step and f"reached {cap} nodes per side" in str(exc)
-                chosen[f"capped at {cap}"] += 1
-                continue
-            n = len(grid.put_strikes) - 1
-            assert n >= 64 and n & (n - 1) == 0 and n <= cap
-            assert half_width / n <= max_step
-            assert n == 64 or half_width / (n // 2) > max_step
-            fresh = _linspace_sides(s0, half_width, n)
-            ours = (grid.put_strikes, grid.put_weights, grid.call_strikes, grid.call_weights)
-            for got, want in zip(ours, fresh):
-                assert got.tobytes() == want.tobytes()
+            grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol)
+            n, a = grid.n_side, _rule(target_tol)[0]
+            assert math.exp(-2.0 * (math.pi * n / a) ** 2) <= target_tol * (1.0 + 1e-12)
+            assert math.exp(-2.0 * (math.pi * (n - 1) / a) ** 2) > target_tol
             assert grid.price_tol == target_tol
-            chosen["sigma*sqrt(tau) = 0" if vol == 0.0 else "64" if n == 64 else "above 64"] += 1
+            chosen[n] += 1
         assert min(chosen.values()) >= 15, chosen
 
 
@@ -324,8 +330,8 @@ def _per_side_black(strikes, forward: float, disc: float, vol: float, is_call: b
 
 
 class TestOneBlackPass:
-    """One Black pass over the grid's single node array keeps the bits of pricing each side on
-    its own linspace layout with its own formula and summing each side apart."""
+    """One Black pass over the grid's unit nodes, at a unit forward, keeps the bits of pricing
+    the puts and the calls each with its own formula."""
 
     def test_seeded_cases_keep_the_per_side_bits(self):
         rng = random.Random(20261022)
@@ -350,27 +356,34 @@ class TestOneBlackPass:
                     assert got.hex() == want.hex(), (s0, sigma, tau, r_f, spot, strike, kind)
                     seen["+0.0 put"] += kind == "put" and want.hex() == "0x0.0p+0"
 
-            try:
-                grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol, n_side=n_side)
-            except DomainError:  # an entry price past the density's float range
-                continue
-            puts, put_w, calls, call_w = _linspace_sides(s0, grid.half_width, grid.n_side)
-            total = float(np.sum(_per_side_black(puts, forward, disc, vol, False) * put_w)
-                          + np.sum(_per_side_black(calls, forward, disc, vol, True) * call_w))
-            if vol > 0.0:
-                x = 0.25 * grid.log_step
-                coth = (x / math.tanh(x) - 1.0 if x > 0.25
-                        else x * x * float(np.polyval(replication._COTH_SERIES, x * x)))
-                total -= 0.5 * disc * (1.0 + forward / s0) * coth
+            grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol, n_side=n_side)
+            n = grid.n_side
+            u = grid.half_width * (np.arange(-n, n + 1) / n)
+            moneyness = np.exp(u)  # K/F: puts below the forward, the centre and calls above
+            values = np.concatenate((_per_side_black(moneyness[:n], 1.0, 1.0, vol, False),
+                                     _per_side_black(moneyness[n:], 1.0, 1.0, vol, True)))
+            values *= np.exp(-0.5 * u)
+            values[0] *= 0.5
+            values[-1] *= 0.5
+            x = 0.25 * grid.log_step
+            coth = (x / math.tanh(x) - 1.0 if x > 0.25
+                    else x * x * float(np.polyval(replication._COTH_SERIES, x * x)))
+            root = math.sqrt(forward / s0)
+            total = 0.5 * (1.0 - root) ** 2 + root * (x * float(values.sum()) - coth)
             got = price_ig_via_strip(contract, spot, market, grid)
-            assert got.hex() == (1e4 * total).hex(), (s0, sigma, tau, r_f, spot, n_side)
-
-            linspace_grid = SimpleNamespace(
-                entry_price=s0, price_tol=grid.price_tol, log_step=grid.log_step,
-                n_strikes=grid.n_strikes, lower_cut=float(puts[0]), upper_cut=float(calls[-1]))
-            want = strip_price_error_bound(contract, spot, market, linspace_grid)
-            assert strip_price_error_bound(contract, spot, market, grid).hex() == want.hex()
+            assert got.hex() == (1e4 * disc * total).hex(), (s0, sigma, tau, r_f, spot, n_side)
         assert min(seen.values()) >= 100, seen
+
+
+def _ig_premium_40_digits(v0: float, k: float, spot: float, r_f: float, sigma: float,
+                          tau: float) -> float:
+    """The gain premium v0*(e^(-r_f*tau)/2 + x/2 - sqrt(x)*e^(-(r_f/2 + sigma**2/8)*tau)),
+    x = spot/k, summed at 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(spot) / mpmath.mpf(k)
+        r_f, sigma, tau = mpmath.mpf(r_f), mpmath.mpf(sigma), mpmath.mpf(tau)
+        return float(mpmath.mpf(v0) * (mpmath.exp(-r_f * tau) / 2 + x / 2 - mpmath.sqrt(x)
+                                       * mpmath.exp(-(r_f / 2 + sigma ** 2 / 8) * tau)))
 
 
 def _default_grid_price_error(k: float, sigma: float, tau: float, target_tol: float) -> float:
@@ -489,17 +502,20 @@ class TestStripPricing:
     @pytest.mark.parametrize("r_f,spot", [(0.03, 1000.0), (-0.05, 1000.0), (0.1, 700.0),
                                           (0.0, 1500.0), (0.4, 1000.0)])
     def test_zero_vol_price_meets_the_intrinsic_kink_bound(self, r_f, spot):
-        # at sigma*sqrt(tau) = 0 the error is at most h**2/32 * disc*(1 + F/K)/2 per unit
-        # notional, and the grid's h <= sqrt(32*target_tol)
+        # at sigma*sqrt(tau) = 0 the strip is empty and the price is v0*disc*g(F), the
+        # intrinsic value at the forward: to rounding, on every target_tol
         market = MarketParams.from_rate_differential(r_f, 0.0, 0.0)
         contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=1.0, t=0.0)
         scale = decay_factors(market, 1.0).gamma_disc * (
             1.0 + forward_price(spot, market, 1.0) / 1000.0) / 2.0
+        exact = _ig_premium_40_digits(1e4, 1000.0, spot, r_f, 0.0, 1.0)
         for target_tol in (1e-3, 1e-5, 1e-7):
             grid = build_strike_grid(1000.0, 0.0, 1.0, target_tol=target_tol)
-            miss = abs(price_ig_via_strip(contract, spot, market, grid)
-                       - price_ig(contract, spot, market))
+            strip = price_ig_via_strip(contract, spot, market, grid)
+            miss = abs(strip - price_ig(contract, spot, market))
             assert miss <= target_tol * 1e4 * scale
+            assert miss <= strip_price_error_bound(contract, spot, market, grid)
+            assert abs(strip - exact) <= 1e-13 * 1e4 * scale
 
     def test_tighter_tolerance_never_hurts(self, week_setup):
         market, contract, _ = week_setup
@@ -522,18 +538,17 @@ class TestStripPricing:
             assert abs(strip - closed) <= 1e-10 * closed
 
     def test_bound_takes_the_limit_where_the_forward_underflows(self):
-        # the forward 1e-300 * exp(-700) underflows to 0, so d -> -inf: the whole put tail
-        # counts and no call tail does, and the quadrature term's F/K is 0
+        # the forward 1e-300 * exp(-700) underflows to 0, so sqrt(F/K) is 0: no strip, no tail
+        # and no quadrature term count, and what is left is the rounding of g(F) = 1/2
         market = MarketParams.from_rate_differential(-700.0, 0.7, 0.0)
         contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=1.0, t=0.0)
         grid = build_strike_grid(1000.0, 0.7, 1.0)
         assert forward_price(1e-300, market, 1.0) == 0.0 and grid.price_tol == 1e-5
         disc = decay_factors(market, 1.0).gamma_disc
-        put_tail = disc * math.sqrt(grid.lower_cut) / (2.0 * math.sqrt(1000.0))
-        x = 0.25 * grid.log_step
-        rounding = grid.n_strikes * math.ulp(1.0) * (x / math.tanh(x) + 1e-5)
+        assert price_ig_via_strip(contract, 1e-300, market, grid) == 1e4 * disc * 0.5
+        rounding = grid.n_strikes * math.ulp(1.0) * 0.5
         assert strip_price_error_bound(contract, 1e-300, market, grid) == pytest.approx(
-            1e4 * ((1e-5 + rounding) * disc / 2.0 + put_tail), rel=1e-15)
+            1e4 * disc * rounding, rel=1e-15)
 
     def test_bound_holds_on_a_grid_sized_for_another_market(self):
         # the bound takes the step's tolerance from the market it prices under: a grid sized
@@ -553,8 +568,10 @@ class TestStripPricing:
             assert miss <= strip_price_error_bound(contract, spot, market, grid), (
                 grid_sigma, sigma, tau, spot, target_tol)
             forward, disc, vol = replication._lognormal(spot, market, tau)
-            own = target_tol * disc * (1.0 + forward / 1000.0) / 2.0
-            short += miss > 1e4 * (own + replication._tails(forward, disc, vol, grid))
+            scale = disc * math.sqrt(forward / 1000.0)
+            tails = math.exp(-0.5 * grid.half_width) * float(
+                ndtr(0.5 * vol - grid.half_width / vol))
+            short += miss > 1e4 * scale * (target_tol + tails)
         assert short >= 40
 
     def test_bound_holds_at_a_target_tol_near_machine_precision(self):
@@ -572,16 +589,15 @@ class TestStripPricing:
             assert miss <= strip_price_error_bound(contract, spot, market, grid), (sigma, tau)
 
     def test_bound_that_overflows_is_a_domain_error(self):
-        # disc = exp(626 * 1.1) ~ 1e300 times sqrt(lower_cut) ~ 1e47 overflows: the bound
-        # was inf with no error, while the strip premium already raised
-        sigma, k = 0.990324246616246, 3.2226522495246463e98
-        market = MarketParams.from_rate_differential(-626.1458637202832, sigma, 0.0)
-        contract = IgContract(notional_v0=1e4, strike_k=k, maturity_T=1.1051390084673074, t=0.0)
-        grid = build_strike_grid(k, sigma, contract.tau, target_tol=1e-2)
+        # spot/K = 1e300 makes v0*disc*g(F) ~ v0*5e299 overflow, and the bound's rounding term,
+        # n*eps times it, overflows at v0 = 1e25 too: both raise instead of returning inf
+        market = MarketParams.from_rate_differential(0.0, 0.7, 0.0)
+        contract = IgContract(notional_v0=1e25, strike_k=1e-150, maturity_T=1.0, t=0.0)
+        grid = build_strike_grid(1e-150, 0.7, 1.0)
         with pytest.raises(DomainError, match="strip premium must be finite"):
-            price_ig_via_strip(contract, 3.126885723089303e100, market, grid)
+            price_ig_via_strip(contract, 1e150, market, grid)
         with pytest.raises(DomainError, match="strip error bound must be finite, got inf"):
-            strip_price_error_bound(contract, 3.126885723089303e100, market, grid)
+            strip_price_error_bound(contract, 1e150, market, grid)
 
     def test_rejects_off_center_grid(self, week_setup):
         market, _, grid = week_setup
@@ -607,44 +623,40 @@ class TestStripPricing:
             assert route(contract, 1000.0, market, hand) == route(contract, 1000.0, market, grid)
 
     def test_seeded_sweep_prices_within_bound_and_tolerance(self):
-        # the price misses the closed form by at most target_tol per unit notional plus the
-        # tail beyond the cuts, which centre on the strike, not on the forward: at long tau
-        # and |r_f*tau| of 2 to 5 that tail can exceed target_tol
+        # the cuts follow the forward, so for every sigma*sqrt(tau) from 0 to 20 the price is
+        # within target_tol per unit notional of the 40-digit premium, and within its bound
         rng = random.Random(20261019)
-        priced = 0
-        for _ in range(400):
-            while True:
-                sigma, tau = 10.0 ** rng.uniform(-3.0, 1.3), 10.0 ** rng.uniform(-4.0, 1.7)
-                if 1e-3 <= sigma * math.sqrt(tau) <= 20.0:
-                    break
+        zero_vol = 0
+        for case in range(400):
+            tau = 10.0 ** rng.uniform(-4.0, 1.7)
+            vol = 0.0 if case % 10 == 0 else 10.0 ** rng.uniform(-9.0, math.log10(20.0))
+            sigma = vol / math.sqrt(tau)
             k = math.exp(rng.uniform(-300.0, 300.0)) if rng.random() < 0.2 else 1000.0
             spot, target_tol = k * rng.uniform(0.6, 1.6), rng.choice([1e-5, 1e-9])
-            market = MarketParams.from_rate_differential(rng.uniform(-0.1, 0.1), sigma, 0.0)
+            r_f = rng.uniform(-0.1, 0.1)
+            market = MarketParams.from_rate_differential(r_f, sigma, 0.0)
             contract = IgContract(notional_v0=1e4, strike_k=k, maturity_T=tau, t=0.0)
-            try:
-                grid = build_strike_grid(k, sigma, tau, target_tol=target_tol)
-            except DomainError as exc:
-                assert str(exc).startswith("strip density 1/(4*K**1.5*sqrt(s0)) is not a "
-                                           f"positive float at the cut strikes"), exc
-                continue
-            miss = abs(price_ig_via_strip(contract, spot, market, grid)
-                       - price_ig(contract, spot, market))
-            tail = 1e4 * replication._tails(*replication._lognormal(spot, market, tau), grid)
+            grid = build_strike_grid(k, sigma, tau, target_tol=target_tol)
+            strip = price_ig_via_strip(contract, spot, market, grid)
+            miss = abs(strip - _ig_premium_40_digits(1e4, k, spot, r_f, sigma, tau))
+            assert miss <= target_tol * 1e4, (sigma, tau, k, spot, r_f, target_tol)
             assert miss <= strip_price_error_bound(contract, spot, market, grid)
-            assert miss <= target_tol * 1e4 + tail, (sigma, tau, k, spot, target_tol)
-            priced += 1
-        assert priced >= 300
+            assert abs(strip - price_ig(contract, spot, market)) <= strip_price_error_bound(
+                contract, spot, market, grid)
+            zero_vol += sigma == 0.0
+        assert zero_vol == 40
 
     def test_pinned_grids_price_within_their_own_bound(self):
         # a pinned n_side, odd or even, coarser or finer than the rule, meets the tolerance its
-        # step gives; at sigma = 0 the h**2/32 rule is attained (worst miss/bound 0.9994 here)
+        # step gives
         rng = random.Random(20261020)
         kinds = dict.fromkeys(("sigma = 0", "coarser", "finer", "odd", "even"), 0)
         for _ in range(400):
             sigma = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3.0, 0.5)
             tau, spot = 10.0 ** rng.uniform(-2.0, 1.0), 1000.0 * rng.uniform(0.6, 1.6)
             target_tol = rng.choice([1e-3, 1e-5, 1e-9])
-            n_side = rng.choice([rng.randrange(2, 64), rng.randrange(64, 4096)])
+            rule_n_side = _rule(target_tol)[1]
+            n_side = rng.choice([rng.randrange(2, rule_n_side), rng.randrange(rule_n_side, 4096)])
             market = MarketParams.from_rate_differential(rng.uniform(-0.1, 0.1), sigma, 0.0)
             contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=tau, t=0.0)
             grid = build_strike_grid(1000.0, sigma, tau, target_tol=target_tol, n_side=n_side)
@@ -654,10 +666,45 @@ class TestStripPricing:
                 sigma, tau, spot, target_tol, n_side)
             kinds["sigma = 0"] += sigma == 0.0
             h, vol = grid.log_step, sigma * math.sqrt(tau)
-            step_tol = math.exp(-2.0 * (math.pi * vol / h) ** 2) if vol > 0.0 else h * h / 32.0
+            step_tol = math.exp(-2.0 * (math.pi * vol / h) ** 2) if h > 0.0 else 0.0
             kinds["coarser" if step_tol > target_tol else "finer"] += 1
             kinds["odd" if n_side % 2 else "even"] += 1
         assert min(kinds.values()) >= 80, kinds
+
+
+class TestForwardSpan:
+    """The strip is spanned at the forward: its cuts follow F wherever it sits, and where
+    sigma*sqrt(tau) vanishes the strip is empty and the price is v0*disc*g(F)."""
+
+    def test_long_tau_with_the_forward_far_from_the_strike_meets_target_tol(self):
+        # F = 1.59*K*e^(0.099*42.5) sits 4.7 log units above the strike; cuts centred on the
+        # strike at K*e^(+-8*sigma*sqrt(tau)) left a tail of 7.6e-7 per unit notional here
+        market = MarketParams.from_rate_differential(0.099, 0.155, 0.0)
+        contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=42.5, t=0.0)
+        grid = build_strike_grid(1000.0, 0.155, 42.5, target_tol=1e-9)
+        strip = price_ig_via_strip(contract, 1590.0, market, grid)
+        miss = abs(strip - _ig_premium_40_digits(1e4, 1000.0, 1590.0, 0.099, 0.155, 42.5))
+        assert miss <= 1e-9 * 1e4
+        assert miss <= strip_price_error_bound(contract, 1590.0, market, grid)
+
+    @pytest.mark.parametrize("name", ["hedged-one-year", "ig-seven-day", "locked-half-year"])
+    def test_shipped_configs_at_vanishing_vol(self, name):
+        # the grid verify builds: at sigma 0 the strip once missed by 0.7 % to 1600 %, and at
+        # sigma 1e-9 its node count grew past any cap
+        scenario = load_config(CONFIGS / f"{name}.json")
+        contract, spot = scenario.ig_contract(), scenario.spot
+        for sigma in (0.0, 1e-9):
+            market = dataclasses.replace(scenario.market, sigma=sigma)
+            grid = build_strike_grid(contract.strike_k, sigma, contract.tau,
+                                     target_tol=scenario.quad_tol or 1e-5)
+            strip = price_ig_via_strip(contract, spot, market, grid)
+            closed = price_ig(contract, spot, market)
+            assert abs(strip - closed) <= strip_price_error_bound(contract, spot, market, grid)
+            assert abs(strip - closed) <= STRIP_REL_TOL * closed
+            exact = _ig_premium_40_digits(contract.notional_v0, contract.strike_k, spot,
+                                          market.r_f, sigma, contract.tau)
+            assert abs(strip - exact) <= 1e-12 * exact, (name, sigma)
+            assert grid.n_strikes == 13
 
 
 class TestKinkTerm:
@@ -691,8 +738,9 @@ class TestKinkTerm:
                                         lambda coth: lambda x: -coth(x)],
                              ids=["dropped", "sign-flipped"])
     def test_bound_catches_a_broken_kink_term(self, monkeypatch, mutant):
-        # risk-sweep-style scenarios on default grids: the strip misses by far less than its
-        # bound, and by more than it once the kink term is dropped (12.7 bounds at the least)
+        # risk-sweep-style scenarios on default grids, sized for 1e-5: the strip misses by at
+        # most 7.4e-4 of its bound, and by more than it once the kink term is dropped or
+        # flipped (36.7 and 73.4 bounds at the least)
         rng = random.Random(20261021)
         scenarios = []
         for _ in range(200):
@@ -709,7 +757,7 @@ class TestKinkTerm:
                            - price_ig(contract, spot, market))
                 yield miss / strip_price_error_bound(contract, spot, market, grid)
 
-        assert max(misses()) <= 1e-6
+        assert max(misses()) <= 1e-3
         monkeypatch.setattr(replication, "_coth_minus_one", mutant(replication._coth_minus_one))
         assert min(misses()) > 1.0
 
@@ -721,7 +769,7 @@ class TestGridCsv:
         write_grid_csv(grid, path)
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
-        assert len(rows) == grid.n_strikes
+        assert len(rows) == 2 * (grid.n_side + 1) == grid.n_strikes + 1  # the entry price twice
         kinds = {row["kind"] for row in rows}
         assert kinds == {"put", "call"}
         puts = [row for row in rows if row["kind"] == "put"]

@@ -5,28 +5,32 @@ so by the spanning formula taken at the forward F (Carr & Madan 1998; Demeterfi,
 Zou 1999) it is g(F) + g'(F)*(S - F) plus a strip of puts struck below F and calls struck above
 it, each weighted by g''(K). Since E[S_T] = F the linear term drops, and the price is
 v0*disc*g(F) plus the cost of that out-of-the-money strip; the LP shortfall -g is short the same
-strip. The strip is a trapezoid rule in u = log(K/F) on nodes u = half_width*z, with unit nodes
-z = i/n_side for i = -n_side..n_side that depend on n_side alone and are cached, so a grid is
-four scalars and a build allocates no array. Every option value is taken at a unit forward, which
-makes the strip's cost per unit notional disc*sqrt(F/K0) times a function of half_width, n_side
-and sigma*sqrt(tau) alone. Summation uses one fixed-order numpy reduction, so results are
-bit-reproducible.
+strip. The strip is a trapezoid rule in u = log(K/F) on the nodes u = half_width*i/n_side for
+i = -n_side..n_side, so a grid is four scalars and a build allocates nothing. Every option value is
+taken at a unit forward, which makes the strip's cost per unit notional disc*sqrt(F/K0) times a
+function of half_width, n_side and sigma*sqrt(tau) alone. The strip and the vanillas are priced
+by one scalar Black value on the standard library's exp and erfc, and the strip is summed with
+math.fsum, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, require_finite, require_non_negative, require_positive
 from .pricing import IgContract, MarketParams, _factors, forward_price
 
-_N_MAX = 1 << 21  # nodes per side a grid may hold: bounds the cached unit node arrays
+# nodes per side a grid may hold: bounds one strip price's scalar loop (n_side + 1 Black values,
+# seconds at the cap) and each of the payoff's strike and weight arrays (16 MB at the cap)
+_N_MAX = 1 << 21
+_SQRT2 = math.sqrt(2.0)
+# math.exp overflows just past 709; beyond g = 709 a strip node's N(d2) is exactly 0.0 (see
+# price_ig_via_strip)
+_EXP_MAX = 709.0
 # c_k = 2**2k * B_2k / (2k)!, k = 7..1: x*coth(x) - 1 = sum_k c_k * x**2k, to 2 ulps for x <= 1/4
 _COTH_SERIES = (4 / 18243225, -1382 / 638512875, 2 / 93555, -1 / 4725, 2 / 945, -1 / 45, 1 / 3)
 
@@ -45,21 +49,6 @@ def strip_density(k_strike: float, s0: float) -> float:
         raise DomainError(f"strip density 1/(4*K**1.5*sqrt(s0)) is not a positive float at "
                           f"k_strike={k_strike!r}, s0={s0!r}")
     return -magnitude
-
-
-@lru_cache(maxsize=32)
-def _unit_nodes(n_side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z, coeff, signs) of a grid with n_side nodes per side, read-only: z = i/n_side for
-    i = -n_side..n_side, the trapezoid coefficients (1/2 at the two ends, 1 elsewhere) and -1
-    for the puts below the centre, +1 for the centre and the calls above it. At the forward a
-    put and a call are worth the same, so the centre node is one full-weight call."""
-    i = np.arange(-n_side, n_side + 1)
-    coeff = np.ones(2 * n_side + 1)
-    coeff[0] = coeff[-1] = 0.5
-    nodes = (i / n_side, coeff, np.where(i < 0, -1.0, 1.0))
-    for array in nodes:
-        array.flags.writeable = False
-    return nodes
 
 
 @dataclass(frozen=True)
@@ -97,10 +86,11 @@ class StrikeGrid:
         """(strikes, weights) of the puts or the calls resolved at the entry price, the entry
         price itself at a half weight; a weight coeff*h/(4*sqrt(K*K0)) is formed as
         coeff*h*e^(-u/2)/(4*K0)."""
-        z, coeff, _ = _unit_nodes(self.n_side)
-        side = slice(self.n_side, None) if calls else slice(None, self.n_side + 1)
-        u = self.half_width * z[side]
-        weights = coeff[side] * self.log_step * np.exp(-0.5 * u) / (4.0 * self.entry_price)
+        n = self.n_side
+        u = self.half_width * ((np.arange(0, n + 1) if calls else np.arange(-n, 1)) / n)
+        coeff = np.ones(n + 1)
+        coeff[-1 if calls else 0] = 0.5  # the outer end of the trapezoid
+        weights = coeff * self.log_step * np.exp(-0.5 * u) / (4.0 * self.entry_price)
         weights[0 if calls else -1] *= 0.5
         return self.entry_price * np.exp(u), weights
 
@@ -185,37 +175,42 @@ def _lognormal(s_t: float, market: MarketParams, tau: float) -> tuple[float, flo
     return forward_price(s_t, market, tau), _factors(market, tau)[1], market.sigma * math.sqrt(tau)
 
 
-def _black_values(strikes, forward: float, disc: float, vol: float, sign) -> np.ndarray:
-    """Lognormal forward-model premiums, discounted at the rate differential, of a call where
-    sign is +1 and a put where it is -1 (a float, or one per strike).
+def _ncdf(x: float) -> float:
+    """Standard normal CDF N(x) = erfc(-x/sqrt(2))/2, taken from erfc on either side, so a tail
+    value never comes from 1 - erfc. N(-inf) is 0 and N(+inf) is 1."""
+    return 0.5 * math.erfc(-x / _SQRT2)
 
-    A premium is (s*F)*N(s*d1) - (s*K)*N(s*d2): negating F and K exactly, a put keeps the bits
-    of K*N(-d2) - F*N(-d1), a zero premium +0.0 included. At vol = sigma*sqrt(tau) = 0 this
-    degenerates to discounted intrinsic value on the forward. d saturates to +-inf for a
-    vanishing vol or a forward/strike ratio that overflows or underflows to 0, and ndtr then
-    yields intrinsic value; those intended limits do not warn. An overflowing premium is inf.
-    """
-    strikes = np.asarray(strikes, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
-        signed_f, signed_k = sign * forward, sign * strikes
-        if vol == 0.0:
-            undiscounted = np.maximum(signed_f - signed_k, 0.0)
-        else:
-            d1 = np.log(forward / strikes) / vol + 0.5 * vol
-            undiscounted = signed_f * ndtr(sign * d1) - signed_k * ndtr(sign * (d1 - vol))
-        return disc * undiscounted
+
+def _black(log_moneyness: float, vol: float, sign: float, f: float, k: float) -> float:
+    """Undiscounted Black premium of a call (sign +1) or a put (sign -1) with forward f, strike k
+    and log_moneyness log(f/k): (sign*f)*N(sign*d1) - (sign*k)*N(sign*d2), d1 = log_moneyness/vol
+    + vol/2 and d2 = d1 - vol. Negating f and k exactly, a put keeps the bits of
+    k*N(-d2) - f*N(-d1), a zero premium +0.0 included. At vol = 0 it is intrinsic value on the
+    forward, and a log_moneyness of +-inf (or a vanishing vol) saturates d to +-inf, where N gives
+    intrinsic value too. A product that overflows is inf."""
+    signed_f, signed_k = sign * f, sign * k
+    if vol == 0.0:
+        return max(signed_f - signed_k, 0.0)
+    d1 = log_moneyness / vol + 0.5 * vol
+    return signed_f * _ncdf(sign * d1) - signed_k * _ncdf(sign * (d1 - vol))
 
 
 def vanilla_price(strike: float, s_t: float, market: MarketParams, tau: float,
                   kind: str) -> VanillaQuote:
-    """Single-strike European premium under the same dynamics as the closed forms."""
+    """Single-strike European premium under the same dynamics as the closed forms: the discounted
+    Black value at the forward, priced by the strip's own Black value. A forward/strike ratio that
+    underflows to 0 takes log_moneyness -inf, so the premium is discounted intrinsic value there;
+    a DomainError where the premium is not finite."""
     require_positive("strike", strike)
     require_positive("s_t", s_t)
     require_non_negative("tau", tau)
     if kind not in ("put", "call"):
         raise DomainError(f"kind must be 'put' or 'call', got {kind!r}")
-    premium = require_finite(f"{kind} premium", float(
-        _black_values(strike, *_lognormal(s_t, market, tau), 1.0 if kind == "call" else -1.0)))
+    forward, disc, vol = _lognormal(s_t, market, tau)
+    ratio = forward / strike
+    log_moneyness = math.log(ratio) if ratio > 0.0 else -math.inf
+    undiscounted = _black(log_moneyness, vol, 1.0 if kind == "call" else -1.0, forward, strike)
+    premium = require_finite(f"{kind} premium", disc * undiscounted)
     return VanillaQuote(strike=float(strike), tau=float(tau), kind=kind, premium=premium)
 
 
@@ -245,7 +240,14 @@ def price_ig_via_strip(contract: IgContract, s_t: float, market: MarketParams,
 
     With K = F*e^u the strip's integrand per unit notional is disc*sqrt(F/K0) * b(u)*e^(-u/2)/4,
     b the Black value at a unit forward: a trapezoid rule over the grid's nodes with step h
-    gives disc*sqrt(F/K0) * x*sum(coeff * b * e^(-u/2)), x = h/4. At u = 0 put-call parity makes
+    gives disc*sqrt(F/K0) * x*sum(coeff * b * e^(-u/2)), x = h/4. A node's b*e^(-u/2) is the Black
+    value at log-moneyness -u with the forward e^(-u/2) and the strike e^(u/2), so e^u is never
+    formed, and by put-call symmetry the put at -u and the call at +u share it: with g = |u|/2,
+    w(g) = e^(-g)*N(v/2 - 2g/v) - e^g*N(-v/2 - 2g/v), v = sigma*sqrt(tau). One scalar loop takes
+    w at the n_side + 1 nodes u >= 0 and math.fsum adds w(0) + 2*(w_1 + ... + w_(n_side-1)) +
+    w_(n_side), the trapezoid sum over all 2*n_side + 1 nodes, exactly rounded. Past g = 709,
+    where math.exp overflows, |v/2 + 2g/v| >= 2*sqrt(g) > 53 makes N(-v/2 - 2g/v) exactly 0.0,
+    so the exponent is capped there with no bit moved. At u = 0 put-call parity makes
     the integrand jump from the puts' to the calls' by Delta(u) = -disc*sqrt(F/K0)/2*sinh(u/2);
     the jump's Euler-Maclaurin series sums to disc*sqrt(F/K0)*(x*coth(x) - 1), which is
     subtracted. What is left is the exponentially small error of a smooth integrand and the tail
@@ -257,13 +259,13 @@ def price_ig_via_strip(contract: IgContract, s_t: float, market: MarketParams,
     require_positive("s_t", s_t)
     x = 0.25 * _log_step(contract, grid)
     forward, disc, vol = _lognormal(s_t, market, contract.tau)
-    z, coeff, signs = _unit_nodes(grid.n_side)
-    u = grid.half_width * z
-    values = _black_values(np.exp(u), 1.0, 1.0, vol, signs)
-    values *= np.exp(-0.5 * u)
-    values *= coeff
+    n, values = grid.n_side, []
+    for i in range(n + 1):
+        g = 0.5 * (grid.half_width * (i / n))  # |u|/2 at the call at +u and the put at -u
+        values.append(_black(-2.0 * g, vol, 1.0, math.exp(-g), math.exp(min(g, _EXP_MAX))))
+    total = math.fsum(values + values[1:-1])  # w_0 + 2*(w_1 + ... + w_(n-1)) + w_n
     root = math.sqrt(forward / contract.strike_k)
-    strip = x * float(values.sum()) - _coth_minus_one(x)
+    strip = x * total - _coth_minus_one(x)
     return require_finite("strip premium", contract.notional_v0 * disc * (
         0.5 * (1.0 - root) ** 2 + root * strip))
 
@@ -291,7 +293,7 @@ def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketPara
     step_tol = math.exp(-2.0 * (math.pi * vol / h) ** 2) if h > 0.0 else 0.0
     x_coth_x = 1.0 + _coth_minus_one(0.25 * h)
     cut = grid.half_width / vol if vol > 0.0 else math.inf
-    tails = math.exp(-0.5 * grid.half_width) * float(ndtr(0.5 * vol - cut))
+    tails = math.exp(-0.5 * grid.half_width) * _ncdf(0.5 * vol - cut)
     ratio = forward / contract.strike_k
     root = math.sqrt(ratio)
     rounding = grid.n_strikes * math.ulp(1.0) * (root * x_coth_x + 0.5 * (1.0 + ratio))

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import math
@@ -224,15 +225,16 @@ class TestGridConstruction:
             assert grid != other
 
     def test_grid_arrays_are_read_only(self):
-        # a grid holds its four scalars only; its node arrays are cached per n_side, read-only
+        # a grid holds its four scalars only and shares no array: each resolved side is built on
+        # access, so writing to one leaves the grid as it was
         grid = build_strike_grid(1000.0, 0.7, 1.0)
         assert [f.name for f in dataclasses.fields(grid)] == ["entry_price", "half_width", "n_side",
                                                   "price_tol"]
-        nodes = replication._unit_nodes(grid.n_side)
-        assert replication._unit_nodes(grid.n_side) is nodes
-        for array in nodes:
-            with pytest.raises(ValueError, match="read-only"):
-                array[:] = -1.0
+        for name in ("put_strikes", "put_weights", "call_strikes", "call_weights"):
+            array = getattr(grid, name)
+            want = array.tobytes()
+            array[:] = -1.0
+            assert getattr(grid, name).tobytes() == want, name
         with pytest.raises(FrozenInstanceError):
             grid.n_side = 128
 
@@ -315,27 +317,57 @@ class TestNestedRefinement:
         assert min(chosen.values()) >= 15, chosen
 
 
-def _per_side_black(strikes, forward: float, disc: float, vol: float, is_call: bool):
-    """Discounted Black premiums of one side, each kind typed out on its own."""
-    with np.errstate(over="ignore", divide="ignore"):
-        if vol == 0.0:
-            undiscounted = (np.maximum(forward - strikes, 0.0) if is_call
-                            else np.maximum(strikes - forward, 0.0))
+EPS = 2.0 ** -52
+TINY = mpmath.mpf(2) ** -1022  # the smallest normal float
+
+
+def _black_40_digits(log_moneyness: float, vol: float, f: float, k: float,
+                     call: bool) -> tuple:
+    """(premium, size) at 40 digits of the undiscounted Black value with forward f, strike k and
+    log(f/k) = log_moneyness, each taken as exact: f*N(d1) - k*N(d2) for a call and
+    k*N(-d2) - f*N(-d1) for a put, each kind typed out on its own, and the size of its two terms,
+    f*N(+-d1) + k*N(+-d2)."""
+    with mpmath.workdps(40):
+        vol, f, k = mpmath.mpf(vol), mpmath.mpf(f), mpmath.mpf(k)
+        d1 = mpmath.mpf(log_moneyness) / vol + vol / 2
+        d2 = d1 - vol
+        sqrt2 = mpmath.sqrt(2)
+        if call:  # N(d) = erfc(-d/sqrt(2))/2
+            plus, minus = f * mpmath.erfc(-d1 / sqrt2) / 2, k * mpmath.erfc(-d2 / sqrt2) / 2
         else:
-            d1 = np.log(forward / strikes) / vol + 0.5 * vol
-            d2 = d1 - vol
-            undiscounted = (forward * ndtr(d1) - strikes * ndtr(d2) if is_call
-                            else strikes * ndtr(-d2) - forward * ndtr(-d1))
-        return disc * undiscounted
+            plus, minus = k * mpmath.erfc(d2 / sqrt2) / 2, f * mpmath.erfc(d1 / sqrt2) / 2
+        return plus - minus, plus + minus
 
 
 class TestOneBlackPass:
-    """One Black pass over the grid's unit nodes, at a unit forward, keeps the bits of pricing
-    the puts and the calls each with its own formula."""
+    """The one scalar Black value that prices the vanillas and every strip node, against 40
+    digits on 1500 seeded cases: each vanilla, each node a strip prices and the strip sum.
 
-    def test_seeded_cases_keep_the_per_side_bits(self):
+    Tolerances, in units of eps = 2**-52 times the size of the terms that are added up:
+    - a vanilla, 4096 (2**-40): N's relative error in the far tail is about d**2*eps, from
+      rounding d, and a strike e^(+-12) from the entry price puts |d| near 40. Its reference
+      takes the logarithm of the rounded F/K at 40 digits;
+    - a strip node, 1024 (2**-42): its |d| is at most a + v/2, under 12 on these grids;
+    - the strip price, 4 times v0*disc*eps*(sqrt(F/K0)*x*coth(x) + (1 + F/K0)/2), the sums the
+      price adds up, and below the rounding term of strip_price_error_bound, which is n_strikes
+      times that.
+    Where N or a product falls below the smallest normal float its value is off by up to
+    2**-1022 times the factor it multiplies, so that much more is allowed. At sigma*sqrt(tau) = 0
+    a premium is intrinsic value, bit for bit. A strip of up to 32 nodes a side is checked at
+    every node and as a sum; a larger pinned strip at 8 seeded nodes."""
+
+    def test_seeded_cases_match_40_digits(self, monkeypatch):
+        nodes = []
+
+        def spy(*args):
+            nodes.append((args, black(*args)))
+            return nodes[-1][1]
+
+        black = replication._black
+        monkeypatch.setattr(replication, "_black", spy)
         rng = random.Random(20261022)
-        seen = dict.fromkeys(("sigma*sqrt(tau) = 0", "forward = strike", "+0.0 put"), 0)
+        seen = dict.fromkeys(("sigma*sqrt(tau) = 0", "forward = strike", "+0.0 put",
+                              "strip summed"), 0)
         for case in range(1500):
             s0, sigma, tau, target_tol, n_side = _fuzz_case(rng)
             if case % 5 == 0:  # at rate 0 and spot = strike the forward is the strike
@@ -350,28 +382,57 @@ class TestOneBlackPass:
 
             for strike in (s0, forward, s0 * math.exp(rng.uniform(-12.0, 12.0))):
                 for kind in ("put", "call"):
-                    want = float(_per_side_black(np.float64(strike), forward, disc, vol,
-                                                 kind == "call"))
                     got = vanilla_price(strike, spot, market, tau, kind).premium
-                    assert got.hex() == want.hex(), (s0, sigma, tau, r_f, spot, strike, kind)
-                    seen["+0.0 put"] += kind == "put" and want.hex() == "0x0.0p+0"
+                    where = (s0, sigma, tau, r_f, spot, strike, kind)
+                    if vol == 0.0:
+                        intrinsic = forward - strike if kind == "call" else strike - forward
+                        assert got == disc * max(intrinsic, 0.0), where
+                    else:
+                        with mpmath.workdps(40):
+                            want, size = _black_40_digits(mpmath.log(forward / strike), vol,
+                                                          forward, strike, kind == "call")
+                        slack = TINY * (1 + disc * (1 + mpmath.mpf(forward) + strike))
+                        assert abs(got - disc * want) <= 2.0 ** -40 * disc * size + slack, where
+                    assert math.copysign(1.0, got) == 1.0, where  # a zero premium is +0.0
+                    seen["+0.0 put"] += kind == "put" and got == 0.0
 
             grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol, n_side=n_side)
-            n = grid.n_side
-            u = grid.half_width * (np.arange(-n, n + 1) / n)
-            moneyness = np.exp(u)  # K/F: puts below the forward, the centre and calls above
-            values = np.concatenate((_per_side_black(moneyness[:n], 1.0, 1.0, vol, False),
-                                     _per_side_black(moneyness[n:], 1.0, 1.0, vol, True)))
-            values *= np.exp(-0.5 * u)
-            values[0] *= 0.5
-            values[-1] *= 0.5
-            x = 0.25 * grid.log_step
-            coth = (x / math.tanh(x) - 1.0 if x > 0.25
-                    else x * x * float(np.polyval(replication._COTH_SERIES, x * x)))
-            root = math.sqrt(forward / s0)
-            total = 0.5 * (1.0 - root) ** 2 + root * (x * float(values.sum()) - coth)
+            nodes.clear()
             got = price_ig_via_strip(contract, spot, market, grid)
-            assert got.hex() == (1e4 * disc * total).hex(), (s0, sigma, tau, r_f, spot, n_side)
+            n, where = grid.n_side, (s0, sigma, tau, r_f, spot, n_side)
+            # one call at each u = h*i >= 0; the put at -u has the same value by symmetry
+            assert len(nodes) == n + 1, where
+            checked = range(n + 1) if n <= 32 else sorted(rng.sample(range(n + 1), 8))
+            weighted = {}
+            for i in checked:
+                (log_moneyness, node_vol, sign, f, k), value = nodes[i]
+                u = grid.half_width * (i / n)
+                assert (log_moneyness, node_vol, sign) == (-u, vol, 1.0), where
+                if vol == 0.0:
+                    assert value == 0.0, where
+                    continue
+                # at 40 digits, the call at +u at a unit forward weighted by e^(-u/2), and on
+                # the rule's own grids the put at -u too
+                with mpmath.workdps(40):
+                    half = mpmath.mpf(u) / 2
+                    call, size = _black_40_digits(-u, vol, mpmath.exp(-half), mpmath.exp(half),
+                                                  True)
+                    if n_side is None:
+                        put, _ = _black_40_digits(u, vol, 1.0, mpmath.exp(-2 * half), False)
+                        assert abs(put * mpmath.exp(half) - call) <= 1e-35 * size, where
+                assert abs(value - call) <= 2.0 ** -42 * size + TINY * (1 + f + k), (where, i)
+                weighted[i] = call
+            if len(weighted) == n + 1 and vol > 0.0:
+                seen["strip summed"] += 1
+                with mpmath.workdps(40):
+                    total = 2 * sum(weighted.values()) - (weighted[0] + weighted[n])
+                    x = mpmath.mpf(0.25 * grid.log_step)
+                    ratio = mpmath.mpf(forward) / mpmath.mpf(s0)
+                    root = mpmath.sqrt(ratio)
+                    want = 1e4 * disc * ((1 - root) ** 2 / 2 + root * (x * total
+                                                                       - (x / mpmath.tanh(x) - 1)))
+                    sums = root * x / mpmath.tanh(x) + (1 + ratio) / 2
+                    assert abs(got - want) <= 4 * EPS * 1e4 * disc * sums, where
         assert min(seen.values()) >= 100, seen
 
 
@@ -646,6 +707,29 @@ class TestStripPricing:
             zero_vol += sigma == 0.0
         assert zero_vol == 40
 
+    def test_strip_prices_where_its_half_width_passes_the_exp_range(self):
+        # half_width = a*v passes 709, where e^u overflows, above v of about 104 at the default
+        # target_tol, and 1419, where e^(|u|/2) does, above 209
+        rng = random.Random(20261024)
+        market = MarketParams.from_rate_differential(0.0, 20.0, 0.0)
+        contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=30.0, t=0.0)
+        grid = build_strike_grid(1000.0, 20.0, 30.0)
+        assert grid.half_width > 709.0
+        assert price_ig_via_strip(contract, 1000.0, market, grid) == 10000.0
+        for _ in range(200):
+            vol, tau = rng.uniform(104.0, 300.0), 10.0 ** rng.uniform(-1.0, 2.0)
+            spot = 1000.0 * math.exp(rng.uniform(-3.0, 3.0))
+            target_tol = 10.0 ** rng.uniform(-15.0, -2.0)
+            market = MarketParams.from_rate_differential(rng.uniform(-0.1, 0.1),
+                                                         vol / math.sqrt(tau), 0.0)
+            contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=tau, t=0.0)
+            grid = build_strike_grid(1000.0, market.sigma, tau, target_tol=target_tol)
+            bound = strip_price_error_bound(contract, spot, market, grid)
+            assert math.isfinite(bound)
+            miss = abs(price_ig_via_strip(contract, spot, market, grid)
+                       - price_ig(contract, spot, market))
+            assert miss <= bound, (vol, tau, spot, target_tol)
+
     def test_pinned_grids_price_within_their_own_bound(self):
         # a pinned n_side, odd or even, coarser or finer than the rule, meets the tolerance its
         # step gives
@@ -705,6 +789,34 @@ class TestForwardSpan:
                                           market.r_f, sigma, contract.tau)
             assert abs(strip - exact) <= 1e-12 * exact, (name, sigma)
             assert grid.n_strikes == 13
+
+
+class TestNormalCdf:
+    def test_no_worse_than_scipy_against_40_digits(self):
+        # relative error in units of 2**-53, on a seeded range from the far lower tail, where
+        # rounding x/sqrt(2) costs about 2*x**2/2 units, to where N is 1 in double
+        rng = random.Random(20261025)
+        worst = {"stdlib": 0.0, "scipy": 0.0}
+        for _ in range(2000):
+            x = rng.uniform(-37.5, 9.0)
+            with mpmath.workdps(40):
+                exact = mpmath.ncdf(mpmath.mpf(x))
+                for name, value in (("stdlib", replication._ncdf(x)), ("scipy", float(ndtr(x)))):
+                    error = float(abs(value - exact) / exact) * 2.0 ** 53
+                    worst[name] = max(worst[name], error)
+        assert worst["stdlib"] <= worst["scipy"], worst
+        assert worst["stdlib"] < 2e3, worst
+        assert replication._ncdf(-math.inf) == 0.0 and replication._ncdf(math.inf) == 1.0
+
+
+def test_replication_imports_nothing_from_scipy():
+    # the strip and the vanillas run on the standard library's exp and erfc
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "lpgreeks"
+                      / "replication.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "scipy"], imported
 
 
 class TestKinkTerm:

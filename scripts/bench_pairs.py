@@ -9,11 +9,11 @@ Each side is a fresh export of its commit's files (git archive) in a temporary d
 run sees the committed tree only and leaves nothing registered in the repository. Every
 --pairs WORKLOAD:SEED:N runs `python3 benchmarks/run.py --workload WORKLOAD --seed SEED
 --seconds S --trace 0` N times on each side, alternating which side runs first. Every
---traced WORKLOAD:SEED runs the same with --trace 1 once per side and keeps the replication.*
-and trace.* metrics. The output has the layout of the earlier BENCH_*.json records: per
-workload and end-to-end metric the median, quartiles (statistics.quantiles, inclusive), min
-and max of each side, the pairs in which the change read lower, and every run's numbers, with
-the machine the runs took place on. Standard library only.
+--traced WORKLOAD:SEED runs the same with --trace 1 once per side and keeps the pricing.*,
+greeks.*, replication.* and trace.* metrics. The output has the layout of the earlier
+BENCH_*.json records: per workload and end-to-end metric the median, quartiles
+(statistics.quantiles, inclusive), min and max of each side, the pairs in which the change read
+lower, and every run's numbers, with the machine the runs took place on. Standard library only.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = ("op_a_ms", "op_b_ms", "setup_s", "peak_rss_mb")
-TRACED_PREFIXES = ("replication.", "trace.")
+TRACED_PREFIXES = ("pricing.", "greeks.", "replication.", "trace.")
 RUN_TIMEOUT_S = 900.0
 
 
@@ -164,7 +164,8 @@ def main() -> int:
                        for key in ("failed", "attempted", "correct")},
                 })
                 print(f"{workload}@{seed} pair {pair}/{count}: " + ", ".join(
-                    f"{side} op_b_ms {runs[-1][side].get('op_b_ms')}" for side in revs),
+                    f"{side} op_a_ms {runs[-1][side].get('op_a_ms')} "
+                    f"op_b_ms {runs[-1][side].get('op_b_ms')}" for side in revs),
                     file=sys.stderr, flush=True)
             record["workloads"][f"{workload}@{seed}"] = {
                 "seed": seed, "summary": _summary(runs), "runs": runs}

@@ -41,7 +41,9 @@ class GreeksReport(NamedTuple):
 
     A report is a tuple of its seven values in the order of GREEK_LABELS: it
     iterates, unpacks and equals a plain tuple of the same values; _fields,
-    _replace and _asdict take the place of the dataclasses helpers.
+    _replace and _asdict take the place of the dataclasses helpers. The hot
+    paths build reports with tuple.__new__(GreeksReport, values), the same
+    record as GreeksReport(*values) without its keyword call.
     """
 
     delta: float
@@ -59,7 +61,7 @@ class GreeksReport(NamedTuple):
         columns; DomainError if any value is not finite."""
         move = s_t / 100.0
         values = (delta, delta * move, gamma, gamma * move * move, vega, theta, rho)
-        report = cls._make(values)
+        report = tuple.__new__(cls, values)
         if not all(map(math.isfinite, values)):
             raise DomainError(f"non-finite greeks: {report}")
         return report
@@ -157,12 +159,13 @@ def _ig(contract: IgContract, s_t: float, market: MarketParams, tau: float,
 
 
 def _sum_reports(a: GreeksReport, b: GreeksReport) -> GreeksReport:
-    return GreeksReport._make(map(operator.add, a, b))
+    return tuple.__new__(GreeksReport, map(operator.add, a, b))
 
 
 class HedgedGreeks(NamedTuple):
     """Greeks of a locked position hedged one-for-one with the gain contract: an
-    immutable record, a tuple of its six fields like GreeksReport.
+    immutable record, a tuple of its six fields like GreeksReport, and built
+    like it with tuple.__new__ in hedge_report.
 
     total holds the component-wise sums. The predictions are the closed-form
     collapsed sums, independent of both the spot and the volatility:
@@ -200,7 +203,7 @@ def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) 
             f"maturities differ: {ig.maturity_T!r} vs {lp.maturity_T!r}")
     if ig.t != lp.t:
         raise HedgeMismatchError(f"clocks differ: {ig.t!r} vs {lp.t!r}")
-    if market != lp.market:
+    if market is not lp.market and market != lp.market:
         raise HedgeMismatchError("market parameters differ between the legs")
 
     require_positive("s_t", s_t)
@@ -209,22 +212,17 @@ def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) 
     lp_g = _locked_lp(lp, s_t, tau, factors)
     ig_g = _ig(ig, s_t, market, ig.tau, factors)
     total = _sum_reports(lp_g, ig_g)
-    for name in ("gamma", "vega"):
-        residual = getattr(total, name)
-        scale = max(abs(getattr(lp_g, name)), abs(getattr(ig_g, name)))
+    for name, residual, scale in (("gamma", total.gamma, max(abs(lp_g.gamma), abs(ig_g.gamma))),
+                                  ("vega", total.vega, max(abs(lp_g.vega), abs(ig_g.vega)))):
         if scale > 0.0 and abs(residual) > _CANCEL_TOL * scale:
             raise ArithmeticError(f"{name} legs failed to cancel: residual {residual!r}")
 
     v0 = ig.notional_v0
     half_plus_fees = 0.5 + market.phi * ig.maturity_T
-    return HedgedGreeks(
-        lp=lp_g,
-        ig=ig_g,
-        total=total,
-        delta_pred=v0 / (2.0 * ig.strike_k),
-        theta_pred=require_finite("theta_pred", v0 * market.r_f * half_plus_fees * factors[1]),
-        rho_pred=require_finite("rho_pred", -v0 * ig.tau * half_plus_fees * factors[1]),
-    )
+    delta_pred = v0 / (2.0 * ig.strike_k)
+    theta_pred = require_finite("theta_pred", v0 * market.r_f * half_plus_fees * factors[1])
+    rho_pred = require_finite("rho_pred", -v0 * ig.tau * half_plus_fees * factors[1])
+    return tuple.__new__(HedgedGreeks, (lp_g, ig_g, total, delta_pred, theta_pred, rho_pred))
 
 
 @dataclass(frozen=True)

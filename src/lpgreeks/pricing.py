@@ -113,8 +113,9 @@ class DecayFactors:
 
 
 def _exp(scale: float, rate: float, tau: float, formula: str, market: MarketParams) -> float:
-    """scale * exp(rate * tau). It owns the tau = 0 limit: exactly scale, even where rate is
-    inf or nan (inf * 0 is nan). Elsewhere a DomainError names the formula, r_f, sigma and tau
+    """scale * exp(rate * tau): the guard of the moments and of _factors' failure path. It owns
+    the tau = 0 limit: exactly scale, even where rate is inf or nan (inf * 0 is nan). It owns
+    the overflow message too: elsewhere a DomainError names the formula, r_f, sigma and tau
     where the value is not below inf: exp overflows, or rate is nan (inf - inf)."""
     if tau == 0.0:
         return scale
@@ -129,10 +130,23 @@ def _exp(scale: float, rate: float, tau: float, formula: str, market: MarketPara
 
 
 def _factors(market: MarketParams, tau: float) -> tuple[float, float, float]:
-    """(beta, gamma_disc, carry) over a remaining time tau: the tuple the closed forms unpack."""
-    require_non_negative("tau", tau)
-    r_f = market.r_f
+    """(beta, gamma_disc, carry) over a remaining time tau: the tuple the closed forms unpack.
+
+    The factors are one guarded block, one exp line each, with the bits of _exp(1.0, rate,
+    tau, ...). Only where tau is negative, nan or inf, or a factor is not below inf, does the
+    tau check run and each factor go through _exp, which owns the tau = 0 limit (1.0) and the
+    overflow message.
+    """
+    r_f = market.r_x - market.r_y
     carry = 0.5 * r_f + market.sigma * market.sigma / 8.0
+    try:
+        beta = math.exp(-carry * tau)
+        gamma_disc = math.exp(-r_f * tau)
+        if beta < math.inf and gamma_disc < math.inf and 0.0 <= tau < math.inf:
+            return beta, gamma_disc, carry
+    except OverflowError:
+        pass
+    require_non_negative("tau", tau)
     formula = "decay factors exp(-carry*tau), exp(-r_f*tau)"
     return _exp(1.0, -carry, tau, formula, market), _exp(1.0, -r_f, tau, formula, market), carry
 

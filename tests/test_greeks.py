@@ -291,6 +291,35 @@ class TestHedgeReport:
         with pytest.raises(HedgeMismatchError):
             hedge_report(replace(lp, locked=False), ig, half_year_market, 1000.0)
 
+    def test_the_same_or_an_equal_market_gives_the_same_record(self, hedge_year):
+        lp, ig = hedge_year
+        equal = replace(lp.market)
+        assert equal is not lp.market and equal == lp.market
+        assert repr(hedge_report(lp, ig, equal, 1100.0)) == repr(
+            hedge_report(lp, ig, lp.market, 1100.0))
+
+    def test_unequal_market_rejected(self, hedge_year, half_year_market):
+        lp, ig = hedge_year
+        with pytest.raises(HedgeMismatchError, match="market parameters differ"):
+            hedge_report(lp, ig, replace(half_year_market, phi=0.2), 1000.0)
+
+    # in the second market each leg's theta passes ten times its vega
+    @pytest.mark.parametrize("market", [MarketParams.from_rate_differential(0.03, 0.7, 0.1),
+                                        MarketParams.from_rate_differential(3.0, 0.1, 200.0)])
+    @pytest.mark.parametrize("name", ["gamma", "vega"])
+    def test_a_leg_off_by_ten_times_the_tolerance_is_named(self, name, market, monkeypatch,
+                                                           hedge_year):
+        lp, ig = hedge_year
+        ig_leg = greeks._ig
+
+        def broken(*args):
+            report = ig_leg(*args)
+            return report._replace(**{name: getattr(report, name) * (1.0 + 10 * greeks._CANCEL_TOL)})
+
+        monkeypatch.setattr(greeks, "_ig", broken)
+        with pytest.raises(ArithmeticError, match=f"^{name} legs failed to cancel: residual "):
+            hedge_report(replace(lp, market=market), ig, market, 1100.0)
+
 
 class TestGreeksTable:
     def _states(self, market):
@@ -366,6 +395,21 @@ class TestRecordContract:
         for record, name in ((self.REPORT, "delta"), (hedged, "total"), (hedged, "rho_pred")):
             with pytest.raises(AttributeError):
                 setattr(record, name, 0.0)
+
+    def test_built_records_have_exact_types_and_the_namedtuple_helpers(self, hedge_year,
+                                                                       half_year_market):
+        report = GreeksReport.at_spot(100.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+        assert report == (1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 5.0)
+        hedged = hedge_report(*hedge_year, half_year_market, 1100.0)
+        assert type(hedged) is greeks.HedgedGreeks
+        assert hedged._asdict()["total"] is hedged.total
+        assert type(hedged._replace(rho_pred=0.0)) is greeks.HedgedGreeks
+        for record in (report, greeks._sum_reports(report, report), *hedged[:3]):
+            assert type(record) is GreeksReport
+            assert record._fields == tuple(GREEK_LABELS)
+            assert record._asdict() == dict(zip(GREEK_LABELS, record))
+            moved = record._replace(delta=7.0)
+            assert type(moved) is GreeksReport and moved == (7.0, *record[1:])
 
     def test_hedged_fields(self):
         assert greeks.HedgedGreeks._fields == (

@@ -258,7 +258,8 @@ class GreeksTable:
 
 def greeks_table(lp_unlocked: LpState, lp_locked: LpState, ig: IgContract,
                  market: MarketParams, s_t: float) -> GreeksTable:
-    """Evaluate all three strategies at a shared spot and emit the comparison."""
+    """Evaluate all three strategies at a shared spot and emit the comparison; the two
+    states may differ only in locked and s_t."""
     require_positive("s_t", s_t)
     if lp_unlocked.locked:
         raise DomainError("lp_unlocked must be an unlocked state")
@@ -266,6 +267,8 @@ def greeks_table(lp_unlocked: LpState, lp_locked: LpState, ig: IgContract,
         raise DomainError("lp_locked must be a locked state")
     if lp_unlocked.market != market or lp_locked.market != market:
         raise DomainError("both states must share the given market parameters")
+    if replace(lp_unlocked, locked=True, s_t=lp_locked.s_t) != lp_locked:
+        raise DomainError("lp_unlocked and lp_locked must share the position, clock and maturity")
     d = decay_factors(market, lp_locked.tau)
     return GreeksTable(
         unlocked=greeks_unlocked_lp(replace(lp_unlocked, s_t=s_t)),

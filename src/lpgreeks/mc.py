@@ -39,12 +39,10 @@ _CHUNK = 1 << 16
 _LP_FIELDS = ("v0", "entry_price", "horizon")
 # pricer -> scenario fields it needs
 PRICERS = {"unlocked_lp": _LP_FIELDS, "locked_lp": _LP_FIELDS, "ig": ("v0", "strike", "horizon")}
-# greek -> the argument of fd_greek's value() it bumps
-_BUMPED = {"delta": "s_t", "gamma": "s_t", "vega": "sig", "theta": "clock", "rho": "rate"}
-GREEK_NAMES = tuple(_BUMPED)
-
-_BUMP_MIN = 1e-8
-_BUMP_MAX = 1e-2
+# greek -> (the argument of fd_greek's value() it bumps, its step relative to max(|x|, 1))
+_STEPS = {"delta": ("s_t", 1e-5), "gamma": ("s_t", 1e-4), "vega": ("sig", 1e-5),
+          "theta": ("clock", 1e-5), "rho": ("rate", 1e-5)}
+GREEK_NAMES = tuple(_STEPS)
 
 
 @dataclass(frozen=True)
@@ -57,6 +55,12 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n_paths", "seed", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.antithetic, bool):
+            raise DomainError(f"antithetic must be a bool, got {self.antithetic!r}")
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths!r}")
         if self.workers < 1:
@@ -225,28 +229,28 @@ def mc_price(payoff: str | Sequence[str], scenario: McScenario | Sequence[McScen
     return estimates[0] if single else tuple(estimates)
 
 
-def fd_greek(pricer: str, scenario: McScenario, which: str, bump: float = 1e-5) -> float:
+def fd_greek(pricer: str, scenario: McScenario, which: str) -> float:
     """Central finite difference of the shipped closed-form premium
     (pricing.lp_premium or pricing.ig_premium).
 
-    The step is bump * max(|x|, 1) in the bumped parameter x, keeping the step
-    relative for the spot while giving small rates and vols an absolute floor.
-    gamma uses a second central difference (a coarser bump, about 1e-4, keeps
-    its rounding noise inside a 1e-5 relative budget); theta bumps the clock t
-    with the maturity held fixed; rho bumps the rate differential. The clock
-    may run below zero (valuing before inception is smooth), but the remaining
-    time horizon - t must stay non-negative wherever it enters a formula. Where
-    the clock's up step would pass the maturity of a locked position or a gain
-    contract (tau < step, at maturity too), theta takes the second-order
-    backward stencil (3 f(t) - 4 f(t - h) + f(t - 2h)) / 2h instead; any other
-    bump that leaves the domain raises StepCollapseError.
+    The step is h = c * max(|x|, 1) in the bumped parameter x, relative for the
+    spot and with an absolute floor for small rates and vols: c = 1e-4 for
+    gamma, a second central difference whose coarser step keeps its rounding
+    noise inside a 1e-5 relative budget, and c = 1e-5 for delta, vega, theta
+    and rho. theta bumps the clock t with the maturity held fixed; rho bumps
+    the rate differential. The clock may run below zero (valuing before
+    inception is smooth), but the remaining time horizon - t must stay
+    non-negative wherever it enters a formula. Where the clock's up step would
+    pass the maturity of a locked position or a gain contract (tau < h, at
+    maturity too), theta takes the second-order backward stencil
+    (3 f(t) - 4 f(t - h) + f(t - 2h)) / 2h instead, so no clock it values
+    passes the maturity; a spot or sigma step that leaves the domain raises
+    StepCollapseError.
     """
     if pricer not in PRICERS:
         raise DomainError(f"unknown pricer {pricer!r}; expected one of {tuple(PRICERS)}")
     if which not in GREEK_NAMES:
         raise DomainError(f"unknown greek {which!r}; expected one of {GREEK_NAMES}")
-    if not _BUMP_MIN <= bump <= _BUMP_MAX:
-        raise DomainError(f"bump must lie in [{_BUMP_MIN}, {_BUMP_MAX}], got {bump!r}")
     _require_fields(f"pricer {pricer!r}", PRICERS[pricer], scenario)
 
     m = scenario.market
@@ -263,16 +267,13 @@ def fd_greek(pricer: str, scenario: McScenario, which: str, bump: float = 1e-5) 
         if pricer == "unlocked_lp":
             return lp_premium(v0, scenario.entry_price, s_t, market, tau=0.0, fee_years=clock)
         tau = horizon - clock
-        if tau < 0.0:
-            raise StepCollapseError(
-                f"bumped clock passed the maturity: t={clock!r} > T={horizon!r}")
         if pricer == "locked_lp":
             return lp_premium(v0, scenario.entry_price, s_t, market, tau, fee_years=horizon)
         return ig_premium(v0, scenario.strike, s_t, market, tau)
 
-    arg = _BUMPED[which]
+    arg, step = _STEPS[which]
     x = {"s_t": s, "sig": sigma, "rate": r_f, "clock": t}[arg]
-    h = bump * max(abs(x), 1.0)
+    h = step * max(abs(x), 1.0)
     if arg == "clock" and pricer != "unlocked_lp" and x + h > horizon:
         return (3.0 * value() - 4.0 * value(clock=x - h) + value(clock=x - 2.0 * h)) / (2.0 * h)
     up, down = value(**{arg: x + h}), value(**{arg: x - h})

@@ -61,6 +61,8 @@ class StrikeGrid:
     audit dump (write_grid_csv). half_width is 0 where sigma*sqrt(tau) is, and the strip is then
     empty. price_tol is the price tolerance per unit notional the grid was sized for (see
     strip_price_error_bound). A grid holds no array, and compares and hashes by its four scalars.
+    build_strike_grid sizes a grid by its rule; dataclasses.replace(grid, n_side=n) is the same
+    grid with n nodes per side, checked here like any other.
 
     put_strikes, put_weights, call_strikes and call_weights resolve the strip at the entry price,
     the F = K0 case, with the entry price on both sides at a half weight: puts from
@@ -104,10 +106,6 @@ class StrikeGrid:
         return self.half_width / self.n_side
 
     @property
-    def scheme(self) -> str:
-        return f"trapezoid-log/{self.n_side}+{self.n_side}"
-
-    @property
     def n_strikes(self) -> int:
         return 2 * self.n_side + 1
 
@@ -129,8 +127,8 @@ def _leg(payoff: np.ndarray, weights: np.ndarray) -> float:
     return float(payoff.sum())
 
 
-def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1e-5,
-                      n_side: int | None = None) -> StrikeGrid:
+def build_strike_grid(s0: float, sigma: float, tau: float,
+                      target_tol: float = 1e-5) -> StrikeGrid:
     """Build the strip grid for the gain contract struck at s0: half_width = a*v for
     v = sigma*sqrt(tau), and n_side nodes per side, both set by target_tol alone.
 
@@ -139,12 +137,12 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
     (price_ig_via_strip) the price's quadrature error falls as exp(-2*pi**2*(v/h)**2), and
     v/h = n_side/a; the nodes left out past the cuts F*e^(+-a*v) sum to at most x*coth(x) *
     e^(-a*v/2) * N(v/2 - a) <= x*coth(x) * exp(-a**2/2), x = h/4, in the same units (see
-    strip_price_error_bound). So with
-    L = ln(1/target_tol), a = sqrt(2*L) + 2 and n_side = ceil(a*sqrt(L/2)/pi), the smallest
-    count whose quadrature term meets target_tol: 6, 9 and 14 nodes per side at 1e-5, 1e-9 and
-    1e-15, for every sigma and tau. n_side pins the count; price_tol is target_tol either way
-    (strip_price_error_bound covers a pinned step coarser than the rule). StrikeGrid checks s0
-    (as entry_price) and n_side.
+    strip_price_error_bound). So with L = ln(1/target_tol), a = sqrt(2*L) + 2 and
+    n_side = ceil(a*sqrt(L/2)/pi), the smallest count whose quadrature term meets target_tol:
+    6, 9 and 14 nodes per side at 1e-5, 1e-9 and 1e-15, for every sigma and tau. A grid with
+    another count is dataclasses.replace(grid, n_side=n), its price_tol still target_tol
+    (strip_price_error_bound covers a step coarser than the rule). StrikeGrid checks s0 (as
+    entry_price) and the count.
     """
     require_non_negative("sigma", sigma)
     require_non_negative("tau", tau)
@@ -152,8 +150,7 @@ def build_strike_grid(s0: float, sigma: float, tau: float, target_tol: float = 1
         raise DomainError(f"target_tol must lie in (0, 1e-2], got {target_tol!r}")
     log_inverse_tol = -math.log(target_tol)
     a = math.sqrt(2.0 * log_inverse_tol) + 2.0
-    if n_side is None:
-        n_side = math.ceil(a * math.sqrt(0.5 * log_inverse_tol) / math.pi)
+    n_side = math.ceil(a * math.sqrt(0.5 * log_inverse_tol) / math.pi)
     return StrikeGrid(s0, a * sigma * math.sqrt(tau), n_side, target_tol)
 
 
@@ -162,9 +159,9 @@ def replicate_il_payoff(grid: StrikeGrid, s_terminal: float) -> float:
     the entry price (where the payoff and its slope vanish) and each side a trapezoid with a
     half weight at the entry price. It covers terminal prices within entry_price*e^(+-half_width),
     and its error falls only as h**2, not exponentially as the price's does, so a grid sized for
-    the price reconstructs the payoff coarsely: pin n_side in build_strike_grid, or hand-build a
-    StrikeGrid with the half width the payoff's range needs (2048 nodes over e^(+-4.76) meet
-    1e-5 from 0.1 to 10 times the entry price)."""
+    the price reconstructs the payoff coarsely: take dataclasses.replace(grid, n_side=n) with a
+    finer n, or hand-build a StrikeGrid with the half width the payoff's range needs (2048 nodes
+    over e^(+-4.76) meet 1e-5 from 0.1 to 10 times the entry price)."""
     require_positive("s_terminal", s_terminal)
     return -(_leg(grid.put_strikes - s_terminal, grid.put_weights)
              + _leg(s_terminal - grid.call_strikes, grid.call_weights))

@@ -25,8 +25,6 @@ from .replication import build_strike_grid, price_ig_via_strip, vanilla_price
 MC_Z_LIMIT = 3.0
 FD_TOL_FIRST_ORDER = 1e-6
 FD_TOL_SECOND_ORDER = 1e-5
-FD_BUMP_FIRST_ORDER = 1e-5
-FD_BUMP_SECOND_ORDER = 1e-4
 STRIP_REL_TOL = 1e-2
 _SECOND_ORDER = ("gamma", "gamma_pct")  # report fields held to FD_TOL_SECOND_ORDER
 
@@ -121,10 +119,7 @@ def run_verification(scenario: ScenarioConfig) -> list[CheckResult]:
             ("locked_lp", greeks_locked_lp(state), lp_scn),
             ("ig", greeks_ig(contract, scenario.spot, market), ig_scn)):
         fd = GreeksReport.at_spot(scn.s_t, **{
-            name: fd_greek(pricer, scn, name,
-                           FD_BUMP_SECOND_ORDER if name == "gamma" else FD_BUMP_FIRST_ORDER)
-            for name in GREEK_NAMES
-        })
+            name: fd_greek(pricer, scn, name) for name in GREEK_NAMES})
         rows.extend((f"fd/{pricer}/{field}", closed_value, fd_value, 0.0,
                      FD_TOL_SECOND_ORDER if field in _SECOND_ORDER else FD_TOL_FIRST_ORDER)
                     for field, closed_value, fd_value in zip(GREEK_LABELS, closed, fd))

@@ -5,6 +5,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -168,19 +169,19 @@ def test_criterion_5_greeks_verification():
                     }
                     move = s_t / 100.0
                     for pricer, (report, scn) in reports.items():
-                        fd_delta = fd_greek(pricer, scn, "delta", 1e-5)
-                        fd_gamma = fd_greek(pricer, scn, "gamma", 1e-4)
+                        fd_delta = fd_greek(pricer, scn, "delta")
+                        fd_gamma = fd_greek(pricer, scn, "gamma")
                         cells = (
                             ("delta", report.delta, fd_delta, 1e-6),
                             ("delta_pct", report.delta_pct, fd_delta * move, 1e-6),
                             ("gamma", report.gamma, fd_gamma, 1e-5),
                             ("gamma_pct", report.gamma_pct, fd_gamma * move * move, 1e-5),
                             ("vega", report.vega,
-                             fd_greek(pricer, scn, "vega", 1e-5), 1e-6),
+                             fd_greek(pricer, scn, "vega"), 1e-6),
                             ("theta", report.theta,
-                             fd_greek(pricer, scn, "theta", 1e-5), 1e-6),
+                             fd_greek(pricer, scn, "theta"), 1e-6),
                             ("rho", report.rho,
-                             fd_greek(pricer, scn, "rho", 1e-5), 1e-6),
+                             fd_greek(pricer, scn, "rho"), 1e-6),
                         )
                         for greek, closed, fd, tol in cells:
                             err = abs(fd - closed) / max(abs(closed), 1e-12)
@@ -208,7 +209,7 @@ def test_criterion_6_replication_equivalence():
         assert abs(price_ig_via_strip(contract, 1000.0, market, default) - closed) <= 1e-5 * 1e4
 
         for n in (64, 128, 256, 512, 1024):
-            fixed = build_strike_grid(1000.0, 0.7, WEEK_TAU, n_side=n)
+            fixed = replace(default, n_side=n)
             strip = price_ig_via_strip(contract, 1000.0, market, fixed)
             assert abs(strip - closed) <= 1e-10 * closed
 

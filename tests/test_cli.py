@@ -178,6 +178,14 @@ class TestPriceCommand:
                                      "--strategy", "ig"])
         assert result.exit_code == 2
 
+    def test_ig_without_an_ig_block_exits_2(self, runner, tmp_path):
+        data = json.loads(HALF_YEAR_CONFIG.read_text())
+        del data["ig"]
+        result = runner.invoke(cli, ["price", "--config", str(write_config(tmp_path, data)),
+                                     "--strategy", "ig"])
+        assert result.exit_code == 2
+        assert result.stderr == "config error: ig: block is required for this command\n"
+
 
 class TestGreeksCommand:
     def test_unlocked_vol_and_rate_rows_zero(self, runner, tmp_path):
@@ -207,7 +215,7 @@ class TestGreeksCommand:
         for greek in ("delta", "vega", "theta", "rho"):
             fd = fd_greek("locked_lp", scn, greek)
             assert abs(record[greek] - fd) / max(abs(fd), 1e-12) < 1e-6
-        fd = fd_greek("locked_lp", scn, "gamma", 1e-4)
+        fd = fd_greek("locked_lp", scn, "gamma")
         assert abs(record["gamma"] - fd) / abs(fd) < 1e-5
 
     def test_non_finite_greek_is_domain_error(self, runner, tmp_path):
@@ -401,6 +409,14 @@ class TestVerifyCommand:
         data = json.loads(HALF_YEAR_CONFIG.read_text())
         data["mc"] = small_mc(n=n, seed=seed, workers=workers)
         return write_config(tmp_path, data, "verify.json")
+
+    def test_unlocked_position_exits_2(self, runner, tmp_path):
+        data = json.loads(HALF_YEAR_CONFIG.read_text())
+        data["position"]["locked"] = False
+        result = runner.invoke(cli, ["verify", "--config", str(write_config(tmp_path, data))])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "config error: position.locked: verification prices the locked position\n")
 
     def test_small_run_passes(self, runner, tmp_path):
         path = self._config(tmp_path)

@@ -34,7 +34,6 @@ HORIZON = 1.25  # keeps the clock interior for every tau on the grid
 
 FIRST_ORDER_TOL = 1e-6
 SECOND_ORDER_TOL = 1e-5
-GAMMA_BUMP = 1e-4
 
 
 def rel_err(a: float, b: float) -> float:
@@ -54,7 +53,7 @@ def ig_scenario(market, s_t, tau, horizon=HORIZON):
 def assert_fd_matches(pricer, scenario, report):
     move = scenario.s_t / 100.0
     fd_delta = fd_greek(pricer, scenario, "delta")
-    fd_gamma = fd_greek(pricer, scenario, "gamma", GAMMA_BUMP)
+    fd_gamma = fd_greek(pricer, scenario, "gamma")
     assert rel_err(fd_delta, report.delta) < FIRST_ORDER_TOL
     assert rel_err(fd_delta * move, report.delta_pct) < FIRST_ORDER_TOL
     assert rel_err(fd_gamma, report.gamma) < SECOND_ORDER_TOL
@@ -94,6 +93,10 @@ class TestUnlockedGreeks:
 
 
 class TestLockedGreeks:
+    def test_unlocked_state_rejected(self, locked_half_year):
+        with pytest.raises(DomainError, match="^state is unlocked; use greeks_unlocked_lp$"):
+            greeks_locked_lp(replace(locked_half_year, locked=False))
+
     def test_flat_market_degenerates_to_unlocked(self, benchmark_pool):
         # with beta = gamma = 1 every spot greek collapses to the unlocked one;
         # rho keeps its -V0*(tau/2)*sqrt(s/s0) term because the factors still
@@ -364,8 +367,20 @@ class TestGreeksTable:
         other = MarketParams.from_rate_differential(0.05, 0.7, 0.10)
         with pytest.raises(DomainError):
             greeks_table(unlocked, locked, ig, other, 1000.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^lp_unlocked must be an unlocked state$"):
             greeks_table(locked, locked, ig, half_year_market, 1000.0)
+        with pytest.raises(DomainError, match="^lp_locked must be a locked state$"):
+            greeks_table(unlocked, unlocked, ig, half_year_market, 1000.0)
+        # the two columns must price one position at one clock and maturity: a 5e6 deposit
+        # at 20 next to a 1e4 deposit at 1000 is two positions, not one
+        for edit in ({"position": pool_from_deposit(5e6, 20.0)}, {"t": 0.0},
+                     {"maturity_T": 1.0}):
+            with pytest.raises(DomainError, match="^lp_unlocked and lp_locked must share the "
+                                                  "position, clock and maturity$"):
+                greeks_table(replace(unlocked, **edit), locked, ig, half_year_market, 1000.0)
+        # their spots may differ: the table revalues both at its own
+        table = greeks_table(replace(unlocked, s_t=20.0), locked, ig, half_year_market, 1000.0)
+        assert table.unlocked == greeks_unlocked_lp(unlocked)
 
 
 class TestRecordContract:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,11 +29,13 @@ import lpgreeks.mc as mc_module
 import lpgreeks.verify as verify_module
 from lpgreeks.config import load_config
 from lpgreeks.mc import _stream_uniforms
+from lpgreeks.pricing import ig_premium, lp_premium
 
 POOL = pool_from_deposit(10000.0, 1000.0)
 WEEK_TAU = 7.0 / 365.0
 MEDIAN_PATH = 782.70453824186816771  # 1000 * exp(-0.7^2/2)
-HEDGE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hedged-one-year.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+HEDGE_CONFIG = CONFIGS / "hedged-one-year.json"
 
 
 def week_ig_scenario(s_t=1000.0, phi=0.0):
@@ -197,6 +200,22 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             McConfig(n_paths=10, seed=2**64)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_paths": 2000.0}, "n_paths must be an int, got 2000.0"),
+        ({"n_paths": True}, "n_paths must be an int, got True"),
+        ({"seed": 1.5}, "seed must be an int, got 1.5"),
+        ({"seed": False}, "seed must be an int, got False"),
+        ({"workers": 2.0}, "workers must be an int, got 2.0"),
+        ({"workers": True}, "workers must be an int, got True"),
+        ({"antithetic": 1}, "antithetic must be a bool, got 1"),
+        ({"antithetic": "yes"}, "antithetic must be a bool, got 'yes'"),
+    ])
+    def test_field_types_enforced(self, fields, message):
+        # a float count used to fail later in mc_price, a float seed was truncated to another
+        # stream, and n_paths=True ran one path
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            McConfig(**{"n_paths": 10, **fields})
+
     def test_estimate_fields(self):
         est = mc_price("forward",
                        McScenario(market=MarketParams.from_rate_differential(0.0, 0.3, 0.0),
@@ -214,11 +233,17 @@ class TestConfigValidation:
         assert est.std_error == 0.0
 
 
+def test_stream_offsets_must_be_block_aligned():
+    # Philox counts in blocks of four words, so a chunk may start only on a block
+    with pytest.raises(DomainError, match="^stream offsets must be multiples of 4$"):
+        _stream_uniforms(0, 3, 4)
+
+
 class TestFdGreek:
     def test_locked_delta_matches_closed_form(self, locked_half_year, half_year_market):
         scn = McScenario(market=half_year_market, s_t=1000.0, tau=0.25,
                          v0=10000.0, entry_price=1000.0, horizon=0.5)
-        fd = fd_greek("locked_lp", scn, "delta", 1e-5)
+        fd = fd_greek("locked_lp", scn, "delta")
         closed = greeks_locked_lp(locked_half_year).delta
         assert abs(fd - closed) / abs(closed) < 1e-6
 
@@ -237,10 +262,10 @@ class TestFdGreek:
 
         h = 1e-5 * 1000.0
         central = (shipped(1000.0 + h) - shipped(1000.0 - h)) / (2.0 * h)
-        assert fd_greek(pricer, scn, "delta", 1e-5) == central
+        assert fd_greek(pricer, scn, "delta") == central
 
     def test_ig_gamma_with_coarse_bump(self, week_market, week_contract):
-        fd = fd_greek("ig", week_ig_scenario(), "gamma", 1e-4)
+        fd = fd_greek("ig", week_ig_scenario(), "gamma")
         closed = greeks_ig(week_contract, 1000.0, week_market).gamma
         assert abs(fd - closed) / abs(closed) < 1e-5
 
@@ -276,15 +301,91 @@ class TestFdGreek:
         with pytest.raises(StepCollapseError, match="bumped sigma left the domain"):
             fd_greek("locked_lp", scn, "vega")
 
-    def test_bump_bounds_enforced(self, half_year_market):
+    def test_unknown_names_rejected(self, half_year_market):
         scn = McScenario(market=half_year_market, s_t=1000.0, tau=0.25,
                          v0=10000.0, entry_price=1000.0, horizon=0.5)
-        with pytest.raises(DomainError):
-            fd_greek("locked_lp", scn, "delta", 1e-9)
-        with pytest.raises(DomainError):
-            fd_greek("locked_lp", scn, "delta", 0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape(
+                "unknown greek 'vanna'; expected one of "
+                "('delta', 'gamma', 'vega', 'theta', 'rho')")):
             fd_greek("locked_lp", scn, "vanna")
+        with pytest.raises(DomainError, match=re.escape(
+                "unknown pricer 'vanilla_call'; expected one of "
+                "('unlocked_lp', 'locked_lp', 'ig')")):
+            fd_greek("vanilla_call", scn, "delta")
+
+    def test_spot_step_leaving_the_domain_collapses(self, half_year_market):
+        # at spot 1e-6 the step is the floor 1e-5, so the down step lands below zero
+        scn = McScenario(market=half_year_market, s_t=1e-6, tau=0.25,
+                         v0=10000.0, entry_price=1000.0, horizon=0.5)
+        with pytest.raises(StepCollapseError,
+                           match=re.escape("bumped spot left the domain: -9e-06")):
+            fd_greek("locked_lp", scn, "delta")
+
+
+def _fd_cases():
+    """(case, pricer, scenario): the scenarios verify differentiates on each shipped config, and
+    on locked-half-year expired at t = T, where theta takes the backward stencil."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = load_config(path)
+        state, contract = cfg.lp_state(), cfg.ig_contract()
+        lp = McScenario(market=cfg.market, s_t=cfg.spot, tau=state.tau,
+                        v0=state.position.notional_v0,
+                        entry_price=state.position.entry_price_s0, horizon=state.maturity_T)
+        ig = McScenario(market=cfg.market, s_t=cfg.spot, tau=contract.tau,
+                        v0=contract.notional_v0, strike=contract.strike_k,
+                        horizon=contract.maturity_T)
+        variants = [(path.stem, lp, ig)]
+        if path.stem == "locked-half-year":
+            variants.append((f"{path.stem}-expired", replace(lp, tau=0.0), replace(ig, tau=0.0)))
+        for case, lp_scn, ig_scn in variants:
+            yield case, "unlocked_lp", lp_scn
+            yield case, "locked_lp", lp_scn
+            yield case, "ig", ig_scn
+
+
+def _stencil(pricer: str, scn: McScenario, which: str) -> float:
+    """The finite difference typed out: a step of 1e-4*max(|x|, 1) for gamma and
+    1e-5*max(|x|, 1) for the other greeks, central except for theta past the maturity."""
+    m, horizon = scn.market, scn.horizon
+
+    def premium(s, sigma, r_f, t):
+        market = MarketParams.from_rate_differential(r_f, sigma, m.phi)
+        if pricer == "unlocked_lp":
+            return lp_premium(scn.v0, scn.entry_price, s, market, tau=0.0, fee_years=t)
+        if pricer == "locked_lp":
+            return lp_premium(scn.v0, scn.entry_price, s, market, horizon - t, fee_years=horizon)
+        return ig_premium(scn.v0, scn.strike, s, market, horizon - t)
+
+    s, sigma, r_f, t = scn.s_t, m.sigma, m.r_f, horizon - scn.tau
+    if which == "delta":
+        h = 1e-5 * max(abs(s), 1.0)
+        return (premium(s + h, sigma, r_f, t) - premium(s - h, sigma, r_f, t)) / (2.0 * h)
+    if which == "gamma":
+        h = 1e-4 * max(abs(s), 1.0)
+        return (premium(s + h, sigma, r_f, t) - 2.0 * premium(s, sigma, r_f, t)
+                + premium(s - h, sigma, r_f, t)) / (h * h)
+    if which == "vega":
+        h = 1e-5 * max(abs(sigma), 1.0)
+        return (premium(s, sigma + h, r_f, t) - premium(s, sigma - h, r_f, t)) / (2.0 * h)
+    if which == "rho":
+        h = 1e-5 * max(abs(r_f), 1.0)
+        return (premium(s, sigma, r_f + h, t) - premium(s, sigma, r_f - h, t)) / (2.0 * h)
+    h = 1e-5 * max(abs(t), 1.0)
+    if pricer != "unlocked_lp" and t + h > horizon:
+        return (3.0 * premium(s, sigma, r_f, t) - 4.0 * premium(s, sigma, r_f, t - h)
+                + premium(s, sigma, r_f, t - 2.0 * h)) / (2.0 * h)
+    return (premium(s, sigma, r_f, t + h) - premium(s, sigma, r_f, t - h)) / (2.0 * h)
+
+
+class TestFdBits:
+    """fd_greek takes its step from the greek alone: every pricer and greek on the shipped
+    scenarios holds the bits of the stencil typed out above."""
+
+    @pytest.mark.parametrize("pricer, scn", [pytest.param(pricer, scn, id=f"{case}/{pricer}")
+                                             for case, pricer, scn in _fd_cases()])
+    @pytest.mark.parametrize("which", ["delta", "gamma", "vega", "theta", "rho"])
+    def test_fd_greek_is_the_typed_stencil(self, pricer, scn, which):
+        assert fd_greek(pricer, scn, which).hex() == _stencil(pricer, scn, which).hex()
 
 
 # Three terminal laws (the first shared by two scenarios) and a zero-vol one.

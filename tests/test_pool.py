@@ -65,6 +65,12 @@ class TestPoolFromDeposit:
             PoolPosition(invariant_l=1.0, entry_price_s0=1.0,
                          reserve_x0=2.0, reserve_y0=1.0, notional_v0=2.0)
 
+    def test_notional_off_the_pool_constant_rejected(self):
+        # reserves 1 and 1 at price 1 make L = 1, so the notional must be 2*L*sqrt(S0) = 2
+        with pytest.raises(DomainError, match=r"^notional_v0 does not equal 2\*L\*sqrt\(S0\)$"):
+            PoolPosition(invariant_l=1.0, entry_price_s0=1.0,
+                         reserve_x0=1.0, reserve_y0=1.0, notional_v0=3.0)
+
     def test_inconsistent_reserves_rejected(self):
         from lpgreeks import Reserves
         with pytest.raises(DomainError):

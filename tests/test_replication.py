@@ -117,7 +117,7 @@ class TestGridConstruction:
     def test_reported_estimate_meets_tolerance(self):
         # the payoff-sized level the reconstruction needs for 1e-6; the default grid, sized
         # for the price, is far coarser
-        grid = build_strike_grid(1000.0, 0.7, 1.0, n_side=4096)
+        grid = dataclasses.replace(build_strike_grid(1000.0, 0.7, 1.0), n_side=4096)
         assert grid.price_tol == 1e-5  # finer than the rule needs: the default target_tol
         for ratio in (0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0):
             s_terminal = 1000.0 * ratio
@@ -128,22 +128,10 @@ class TestGridConstruction:
     def test_doubling_halves_error_at_least(self):
         errors = []
         for n in (64, 128, 256, 512, 1024, 2048):
-            grid = build_strike_grid(1000.0, 0.7, 1.0, n_side=n)
+            grid = dataclasses.replace(build_strike_grid(1000.0, 0.7, 1.0), n_side=n)
             errors.append(abs(replicate_il_payoff(grid, 4000.0) - impermanent_loss(3.0)))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse / 2.0
-
-    @settings(max_examples=40, deadline=None)
-    @given(s0=st.floats(1e-3, 1e6), sigma=st.floats(0.05, 2.0), tau=st.floats(1e-3, 10.0),
-           target_tol=st.floats(-7.0, -2.0).map(lambda e: 10.0 ** e))
-    def test_pinned_node_count_repeats_the_adaptive_grid(self, s0, sigma, tau, target_tol):
-        adaptive = build_strike_grid(s0, sigma, tau, target_tol=target_tol)
-        pinned = build_strike_grid(s0, sigma, tau, target_tol=target_tol,
-                                   n_side=len(adaptive.put_strikes) - 1)
-        for name in ("put_strikes", "put_weights", "call_strikes", "call_weights"):
-            assert np.array_equal(getattr(pinned, name), getattr(adaptive, name))
-        assert pinned.price_tol == adaptive.price_tol == target_tol
-        assert pinned.scheme == adaptive.scheme and pinned == adaptive
 
     def test_default_node_count_depends_on_target_tol_only(self):
         # the cuts scale with sigma*sqrt(tau) and so does the step: n_side never does
@@ -174,7 +162,7 @@ class TestGridConstruction:
 
     @pytest.mark.parametrize("s0", [1e-150, 1e152])
     def test_entry_price_inside_the_density_range_builds(self, s0):
-        grid = build_strike_grid(s0, 0.7, 0.5, n_side=1024)
+        grid = dataclasses.replace(build_strike_grid(s0, 0.7, 0.5), n_side=1024)
         assert grid.put_strikes[-1] == s0 == grid.call_strikes[0]
         for ratio in (0.1, 10.0 ** -0.5, 1.0, 10.0 ** 0.5, 10.0):
             exact = impermanent_loss(ratio - 1.0)
@@ -208,10 +196,10 @@ class TestGridConstruction:
     def test_pinned_n_side_obeys_the_node_cap(self):
         # a pinned count is held to the 2**21 nodes per side the cached unit nodes may take; the
         # build itself allocates nothing, even at the cap
-        grid = build_strike_grid(1000.0, 0.7, 1.0, n_side=1 << 21)
-        assert grid.n_strikes == (1 << 22) + 1
+        rule = build_strike_grid(1000.0, 0.7, 1.0)
+        assert dataclasses.replace(rule, n_side=1 << 21).n_strikes == (1 << 22) + 1
         with pytest.raises(DomainError, match=re.escape("n_side must be an int in [2, 2097152]")):
-            build_strike_grid(1000.0, 0.7, 1.0, n_side=(1 << 21) + 1)
+            dataclasses.replace(rule, n_side=(1 << 21) + 1)
 
     def test_grids_compare_and_hash_by_their_rule(self):
         grid = build_strike_grid(1000.0, 0.7, 1.0)
@@ -219,7 +207,7 @@ class TestGridConstruction:
         assert grid == same and hash(grid) == hash(same) and len({grid, same}) == 1
         a, n_side = _rule(1e-5)
         assert grid == replication.StrikeGrid(1000.0, a * 0.7, n_side, 1e-5)
-        for other in (build_strike_grid(1000.0, 0.7, 1.0, n_side=128),
+        for other in (dataclasses.replace(build_strike_grid(1000.0, 0.7, 1.0), n_side=128),
                       build_strike_grid(1000.0, 0.7, 1.0, target_tol=1e-6),
                       build_strike_grid(1001.0, 0.7, 1.0), build_strike_grid(1000.0, 0.8, 1.0)):
             assert grid != other
@@ -261,6 +249,13 @@ def _fuzz_case(rng: random.Random) -> tuple:
     return s0, sigma, tau, 10.0 ** rng.uniform(-7.0, -2.0), n_side
 
 
+def _fuzz_grid(s0: float, sigma: float, tau: float, target_tol: float,
+               n_side: int | None) -> replication.StrikeGrid:
+    """The rule's grid for target_tol, or the same grid with n_side nodes per side."""
+    grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol)
+    return grid if n_side is None else dataclasses.replace(grid, n_side=n_side)
+
+
 def _one_price_reconstruction(grid, s_terminal: float) -> float:
     put_leg = float(np.sum(np.maximum(grid.put_strikes - s_terminal, 0.0) * grid.put_weights))
     call_leg = float(np.sum(np.maximum(s_terminal - grid.call_strikes, 0.0) * grid.call_weights))
@@ -276,10 +271,10 @@ class TestNestedRefinement:
         pinned = 0
         for _ in range(2000):
             s0, sigma, tau, target_tol, n_side = _fuzz_case(rng)
-            grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol, n_side=n_side)
+            grid = _fuzz_grid(s0, sigma, tau, target_tol, n_side)
             pinned += n_side is not None
             n = len(grid.put_strikes) - 1
-            assert grid.scheme == f"trapezoid-log/{n}+{n}" and grid.n_side == n
+            assert grid.n_side == n
             assert grid.n_strikes == 2 * n + 1 and grid.log_step == grid.half_width / n
             assert grid.half_width == pytest.approx(_rule(target_tol)[0] * sigma * math.sqrt(tau),
                                                         rel=1e-14)
@@ -396,7 +391,7 @@ class TestOneBlackPass:
                     assert math.copysign(1.0, got) == 1.0, where  # a zero premium is +0.0
                     seen["+0.0 put"] += kind == "put" and got == 0.0
 
-            grid = build_strike_grid(s0, sigma, tau, target_tol=target_tol, n_side=n_side)
+            grid = _fuzz_grid(s0, sigma, tau, target_tol, n_side)
             nodes.clear()
             got = price_ig_via_strip(contract, spot, market, grid)
             n, where = grid.n_side, (s0, sigma, tau, r_f, spot, n_side)
@@ -459,7 +454,7 @@ def _default_grid_price_error(k: float, sigma: float, tau: float, target_tol: fl
 @pytest.fixture(scope="module")
 def grid():
     # the payoff-sized level: reconstruction needs it, the price does not
-    return build_strike_grid(1000.0, 0.7, 1.0, n_side=2048)
+    return dataclasses.replace(build_strike_grid(1000.0, 0.7, 1.0), n_side=2048)
 
 
 @pytest.fixture(scope="module")
@@ -594,7 +589,7 @@ class TestStripPricing:
         market, contract, _ = week_setup
         closed = price_ig(contract, 1000.0, market)
         for n in (64, 128, 256, 512, 1024):
-            grid = build_strike_grid(1000.0, 0.7, WEEK_TAU, n_side=n)
+            grid = dataclasses.replace(build_strike_grid(1000.0, 0.7, WEEK_TAU), n_side=n)
             strip = price_ig_via_strip(contract, 1000.0, market, grid)
             assert abs(strip - closed) <= 1e-10 * closed
 
@@ -743,7 +738,8 @@ class TestStripPricing:
             n_side = rng.choice([rng.randrange(2, rule_n_side), rng.randrange(rule_n_side, 4096)])
             market = MarketParams.from_rate_differential(rng.uniform(-0.1, 0.1), sigma, 0.0)
             contract = IgContract(notional_v0=1e4, strike_k=1000.0, maturity_T=tau, t=0.0)
-            grid = build_strike_grid(1000.0, sigma, tau, target_tol=target_tol, n_side=n_side)
+            grid = dataclasses.replace(
+                build_strike_grid(1000.0, sigma, tau, target_tol=target_tol), n_side=n_side)
             miss = abs(price_ig_via_strip(contract, spot, market, grid)
                        - price_ig(contract, spot, market))
             assert miss <= strip_price_error_bound(contract, spot, market, grid), (
@@ -876,7 +872,7 @@ class TestKinkTerm:
 
 class TestGridCsv:
     def test_dump_round_trips(self, tmp_path):
-        grid = build_strike_grid(1000.0, 0.7, 0.5, n_side=32)
+        grid = dataclasses.replace(build_strike_grid(1000.0, 0.7, 0.5), n_side=32)
         path = tmp_path / "grid.csv"
         write_grid_csv(grid, path)
         with open(path, newline="") as handle:

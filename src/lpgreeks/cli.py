@@ -228,7 +228,7 @@ def cmd_figure(scenario: ScenarioConfig, figure_id: str, out_path: str) -> None:
               help="Write the report CSV to this path.")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
               help="Override mc.seed.")
-@click.option("--paths", type=click.IntRange(min=1), default=None, help="Override mc.n_paths.")
+@click.option("--paths", type=click.IntRange(min=2), default=None, help="Override mc.n_paths.")
 def cmd_verify(scenario: ScenarioConfig, out_path: Optional[str],
                seed: Optional[int], paths: Optional[int]) -> None:
     """Run the full oracle suite; exit 1 if any check fails."""

@@ -10,7 +10,6 @@ vol, per day, per 1% rate) are applied at presentation time only.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
@@ -159,7 +158,10 @@ def _ig(contract: IgContract, s_t: float, market: MarketParams, tau: float,
 
 
 def _sum_reports(a: GreeksReport, b: GreeksReport) -> GreeksReport:
-    return tuple.__new__(GreeksReport, map(operator.add, a, b))
+    a0, a1, a2, a3, a4, a5, a6 = a
+    b0, b1, b2, b3, b4, b5, b6 = b
+    return tuple.__new__(GreeksReport, (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5,
+                                        a6 + b6))
 
 
 class HedgedGreeks(NamedTuple):
@@ -212,8 +214,8 @@ def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) 
     lp_g = _locked_lp(lp, s_t, tau, factors)
     ig_g = _ig(ig, s_t, market, ig.tau, factors)
     total = _sum_reports(lp_g, ig_g)
-    for name, residual, scale in (("gamma", total.gamma, max(abs(lp_g.gamma), abs(ig_g.gamma))),
-                                  ("vega", total.vega, max(abs(lp_g.vega), abs(ig_g.vega)))):
+    for name, i in (("gamma", 2), ("vega", 4)):
+        residual, scale = total[i], max(abs(lp_g[i]), abs(ig_g[i]))
         if scale > 0.0 and abs(residual) > _CANCEL_TOL * scale:
             raise ArithmeticError(f"{name} legs failed to cancel: residual {residual!r}")
 

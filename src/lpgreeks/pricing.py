@@ -21,7 +21,8 @@ if TYPE_CHECKING:  # pool imports this module to value a position
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Model inputs: lending rates of each token, lognormal vol, pool fee APY."""
+    """Model inputs: lending rates of each token, lognormal vol, pool fee APY. The rate
+    differential r_f = r_x - r_y is set once in __post_init__: read-only, not a field."""
 
     r_x: float
     r_y: float
@@ -33,11 +34,7 @@ class MarketParams:
         require_finite("r_y", self.r_y)
         require_non_negative("sigma", self.sigma)
         require_non_negative("phi", self.phi)
-
-    @property
-    def r_f(self) -> float:
-        """Rate differential r_x - r_y. May be negative."""
-        return self.r_x - self.r_y
+        object.__setattr__(self, "r_f", self.r_x - self.r_y)
 
     @classmethod
     def from_rate_differential(cls, r_f: float, sigma: float, phi: float) -> "MarketParams":
@@ -46,8 +43,9 @@ class MarketParams:
 
 
 class _Clock:
-    """The t/maturity_T check and tau shared by LpState and IgContract. It has no
-    fields: each subclass declares t and maturity_T in its own positional order."""
+    """The t/maturity_T check of LpState and IgContract, and their tau = maturity_T - t (for an
+    LP position, the time to unlock), set once in __post_init__: read-only, not a field. The
+    class has no fields: each subclass declares t and maturity_T in its own positional order."""
 
     def __post_init__(self) -> None:
         require_non_negative("t", self.t)
@@ -55,11 +53,7 @@ class _Clock:
         if self.maturity_T < self.t:
             raise DomainError(
                 f"maturity_T must be >= t, got T={self.maturity_T!r} < t={self.t!r}")
-
-    @property
-    def tau(self) -> float:
-        """Remaining time to maturity (for an LP position, to unlock)."""
-        return self.maturity_T - self.t
+        object.__setattr__(self, "tau", self.maturity_T - self.t)
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,7 @@ def _factors(market: MarketParams, tau: float) -> tuple[float, float, float]:
     tau check run and each factor go through _exp, which owns the tau = 0 limit (1.0) and the
     overflow message.
     """
-    r_f = market.r_x - market.r_y
+    r_f = market.r_f
     carry = 0.5 * r_f + market.sigma * market.sigma / 8.0
     try:
         beta = math.exp(-carry * tau)

@@ -69,9 +69,11 @@ def _check(name: str, closed: float, estimate: float, std_error: float,
 
 def run_verification(scenario: ScenarioConfig) -> list[CheckResult]:
     """Run every check for a scenario; needs a locked position, an ig block and
-    an mc block."""
+    an mc block of at least 2 paths."""
     if scenario.mc is None:
         raise ConfigError("mc: block is required for verification")
+    if scenario.mc.n_paths < 2:
+        raise ConfigError(f"mc.n_paths: a standard error needs 2 paths, got {scenario.mc.n_paths}")
     if not scenario.position.locked:
         raise ConfigError("position.locked: verification prices the locked position")
 

@@ -418,6 +418,12 @@ class TestVerifyCommand:
         assert result.stderr == (
             "config error: position.locked: verification prices the locked position\n")
 
+    def test_single_path_config_exits_2(self, runner, tmp_path):
+        # one path estimates no standard error: every Monte Carlo row would read z = +-inf
+        result = runner.invoke(cli, ["verify", "--config", str(self._config(tmp_path, n=1))])
+        assert result.exit_code == 2
+        assert result.stderr == "config error: mc.n_paths: a standard error needs 2 paths, got 1\n"
+
     def test_small_run_passes(self, runner, tmp_path):
         path = self._config(tmp_path)
         out = tmp_path / "report.csv"
@@ -462,7 +468,8 @@ class TestVerifyCommand:
         assert len(lines) == 37 and all(line.endswith(",true") for line in lines[1:])
 
     @pytest.mark.parametrize("option, value", [
-        ("--paths", "0"), ("--paths", "-5"), ("--seed", "-1"), ("--seed", str(2**64)),
+        ("--paths", "0"), ("--paths", "1"), ("--paths", "-5"), ("--seed", "-1"),
+        ("--seed", str(2**64)),
     ])
     def test_out_of_range_override_is_usage_error(self, runner, tmp_path, option, value):
         path = self._config(tmp_path)

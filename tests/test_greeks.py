@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,9 @@ from lpgreeks import (
     greeks_unlocked_lp,
     hedge_report,
     pool_from_deposit,
+    price_ig,
     price_locked_lp,
+    price_unlocked_lp,
 )
 from lpgreeks import greeks, pricing
 from lpgreeks.greeks import GREEK_LABELS, GreeksReport
@@ -590,3 +594,41 @@ class TestHedgeParity:
         lp, ig = hedge_year
         hedge_report(lp, ig, half_year_market, 1100.0)
         assert calls == [lp.tau]
+
+
+# Python-level calls into lpgreeks of one closed-form revaluation, the seven calls a risk
+# sweep makes per book scenario: a perf guard that does not depend on timing. r_f and tau are
+# plain attributes; as properties they would add 12 calls.
+REVALUATION_CALL_BUDGET = 39
+
+
+def test_revaluation_call_budget():
+    rng = random.Random(25)
+    market = MarketParams(rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.05), rng.uniform(0.2, 1.2),
+                          rng.uniform(0.0, 0.2))
+    t = rng.uniform(0.0, 0.5)
+    maturity = t + rng.uniform(0.05, 2.0)
+    spot = 1000.0 * rng.uniform(0.6, 1.6)
+    locked = LpState(POOL, market, spot, t, maturity, locked=True)
+    unlocked = replace(locked, locked=False)
+    contract = IgContract(1e4, 1000.0, maturity, t)
+    package = str(Path(greeks.__file__).parent)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        price_unlocked_lp(unlocked)
+        price_locked_lp(locked)
+        price_ig(contract, spot, market)
+        greeks_unlocked_lp(unlocked)
+        greeks_locked_lp(locked)
+        greeks_ig(contract, spot, market)
+        hedge_report(locked, contract, market, spot)
+    finally:
+        sys.setprofile(None)
+    assert not {"r_f", "tau"} & set(calls)
+    assert len(calls) <= REVALUATION_CALL_BUDGET, sorted(calls)

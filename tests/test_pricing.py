@@ -1,5 +1,8 @@
+import copy
 import math
-from dataclasses import replace
+import pickle
+import random
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import pytest
 from hypothesis import given
@@ -58,6 +61,54 @@ class TestMarketParams:
             MarketParams(0.0, 0.0, -0.1, 0.0)
         with pytest.raises(DomainError):
             MarketParams(0.0, 0.0, 0.1, -0.2)
+
+
+class TestDerivedAttributes:
+    """MarketParams.r_f and the clocks' tau are read-only attributes set once in __post_init__,
+    not fields: bit for bit their formula, set afresh by replace, kept by copy and pickle, and
+    seen by none of the dataclass machinery."""
+
+    @staticmethod
+    def _objects(rng):
+        m = MarketParams(rng.uniform(-0.2, 0.2), math.ldexp(rng.random(), rng.randint(-60, 2)),
+                         rng.uniform(0.0, 1.5), rng.uniform(0.0, 0.5))
+        t = rng.uniform(0.0, 2.0)
+        maturity = t + math.ldexp(rng.random(), rng.randint(-60, 3))
+        return (m, LpState(POOL, m, rng.uniform(1.0, 5000.0), t, maturity, rng.random() < 0.5),
+                IgContract(1e4, rng.uniform(1.0, 5000.0), maturity, t))
+
+    @staticmethod
+    def _derived(obj):
+        if isinstance(obj, MarketParams):
+            return "r_f", (obj.r_x - obj.r_y).hex()
+        return "tau", (obj.maturity_T - obj.t).hex()
+
+    def test_bits_and_copies(self):
+        rng = random.Random(25)
+        for _ in range(300):
+            for obj in self._objects(rng):
+                name, bits = self._derived(obj)
+                for twin in (obj, copy.copy(obj), copy.deepcopy(obj),
+                             pickle.loads(pickle.dumps(obj))):
+                    assert twin == obj and getattr(twin, name).hex() == bits
+
+    def test_replace_sets_them_afresh(self, locked_half_year, week_contract):
+        m = replace(locked_half_year.market, r_y=0.5)
+        assert m.r_f == m.r_x - 0.5
+        assert replace(locked_half_year, t=0.1).tau == 0.5 - 0.1
+        assert replace(week_contract, maturity_T=2.0).tau == 2.0
+        assert replace(MarketParams.from_rate_differential(0.03, 0.7, 0.1)).r_f == 0.03
+
+    def test_not_fields(self, locked_half_year, week_contract):
+        for obj in (locked_half_year.market, locked_half_year, week_contract):
+            name, _ = self._derived(obj)
+            assert name not in {f.name for f in fields(obj)}
+            assert name not in asdict(obj) and f"{name}=" not in repr(obj)
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 0.0)
+        assert repr(week_contract) == (
+            "IgContract(notional_v0=10000.0, strike_k=1000.0, maturity_T=0.019178082191780823, "
+            "t=0.0)")
 
 
 class TestDecayFactors:

@@ -155,9 +155,7 @@ def cmd_greeks(scenario: ScenarioConfig, strategy: str, out_path: Optional[str])
               help="Also write the table as CSV to this path.")
 def cmd_table(scenario: ScenarioConfig, out_path: Optional[str]) -> None:
     """Side-by-side greeks of the unlocked LP, locked LP and gain contract."""
-    locked_state = _locked_state(scenario, "table")
-    table = greeks_table(replace(locked_state, locked=False), locked_state,
-                         scenario.ig_contract(), scenario.market, scenario.spot)
+    table = greeks_table(_locked_state(scenario, "table"), scenario.ig_contract(), scenario.spot)
     click.echo(table.as_text())
     if out_path:
         Path(out_path).write_text(table.as_csv())

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, HedgeMismatchError, require_finite, require_positive
-from .pricing import IgContract, LpState, MarketParams, _factors, decay_factors
+from .pricing import IgContract, LpState, MarketParams, _factors
 
 _CANCEL_TOL = 1e-10
 
@@ -258,25 +258,22 @@ class GreeksTable:
         return "\n".join(lines) + "\n"
 
 
-def greeks_table(lp_unlocked: LpState, lp_locked: LpState, ig: IgContract,
-                 market: MarketParams, s_t: float) -> GreeksTable:
-    """Evaluate all three strategies at a shared spot and emit the comparison; the two
-    states may differ only in locked and s_t."""
-    require_positive("s_t", s_t)
-    if lp_unlocked.locked:
-        raise DomainError("lp_unlocked must be an unlocked state")
-    if not lp_locked.locked:
-        raise DomainError("lp_locked must be a locked state")
-    if lp_unlocked.market != market or lp_locked.market != market:
-        raise DomainError("both states must share the given market parameters")
-    if replace(lp_unlocked, locked=True, s_t=lp_locked.s_t) != lp_locked:
-        raise DomainError("lp_unlocked and lp_locked must share the position, clock and maturity")
-    d = decay_factors(market, lp_locked.tau)
-    return GreeksTable(
-        unlocked=greeks_unlocked_lp(replace(lp_unlocked, s_t=s_t)),
-        locked=greeks_locked_lp(replace(lp_locked, s_t=s_t)),
-        ig=greeks_ig(ig, s_t, market),
-        beta=d.beta,
-        gamma_disc=d.gamma_disc,
-        s_t=s_t,
-    )
+def greeks_table(lp: LpState, ig: IgContract, s_t: float) -> GreeksTable:
+    """Evaluate the three strategies at spot s_t and emit the comparison.
+
+    The Unlocked LP and Locked LP columns are the position lp, redeemable and locked until its
+    maturity, whatever lp.locked says; the Impermanent Gain column is the contract ig under
+    lp.market. The contract keeps its own strike and maturity, but must share the position's
+    clock t and notional, or a DomainError names the term that differs. The beta/gamma footer
+    holds the position's decay factors, over its own tau.
+    """
+    if ig.t != lp.t:
+        raise DomainError(f"clocks differ: contract t={ig.t!r} vs position t={lp.t!r}")
+    if ig.notional_v0 != lp.position.notional_v0:
+        raise DomainError(f"notionals differ: contract {ig.notional_v0!r} "
+                          f"vs position {lp.position.notional_v0!r}")
+    beta, gamma_disc, _ = _factors(lp.market, lp.tau)
+    return GreeksTable(unlocked=greeks_unlocked_lp(replace(lp, locked=False, s_t=s_t)),
+                       locked=greeks_locked_lp(replace(lp, locked=True, s_t=s_t)),
+                       ig=greeks_ig(ig, s_t, lp.market),
+                       beta=beta, gamma_disc=gamma_disc, s_t=s_t)

@@ -28,6 +28,8 @@ from .pricing import IgContract, MarketParams, _factors, forward_price
 # seconds at the cap) and each of the payoff's strike and weight arrays (16 MB at the cap)
 _N_MAX = 1 << 21
 _SQRT2 = math.sqrt(2.0)
+# the strip price's tolerance where none is given: build_strike_grid's, and verify's by default
+DEFAULT_TARGET_TOL = 1e-5
 # math.exp overflows just past 709; beyond g = 709 a strip node's N(d2) is exactly 0.0 (see
 # price_ig_via_strip)
 _EXP_MAX = 709.0
@@ -128,7 +130,7 @@ def _leg(payoff: np.ndarray, weights: np.ndarray) -> float:
 
 
 def build_strike_grid(s0: float, sigma: float, tau: float,
-                      target_tol: float = 1e-5) -> StrikeGrid:
+                      target_tol: float = DEFAULT_TARGET_TOL) -> StrikeGrid:
     """Build the strip grid for the gain contract struck at s0: half_width = a*v for
     v = sigma*sqrt(tau), and n_side nodes per side, both set by target_tol alone.
 

@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .greeks import GREEK_LABELS, GreeksReport, greeks_ig, greeks_locked_lp, greeks_unlocked_lp
 from .mc import GREEK_NAMES, McScenario, fd_greek, mc_price
 from .pricing import expected_sqrt_price, forward_price, price_ig, price_locked_lp
-from .replication import build_strike_grid, price_ig_via_strip, vanilla_price
+from .replication import DEFAULT_TARGET_TOL, build_strike_grid, price_ig_via_strip, vanilla_price
 
 MC_Z_LIMIT = 3.0
 FD_TOL_FIRST_ORDER = 1e-6
@@ -128,7 +128,7 @@ def run_verification(scenario: ScenarioConfig) -> list[CheckResult]:
 
     # Strip route for the gain premium.
     grid = build_strike_grid(contract.strike_k, market.sigma, contract.tau,
-                             target_tol=scenario.quad_tol or 1e-5)
+                             target_tol=scenario.quad_tol or DEFAULT_TARGET_TOL)
     strip = price_ig_via_strip(contract, scenario.spot, market, grid)
     rows.append(("strip/ig", ig_closed, strip, 0.0, STRIP_REL_TOL))
     return [_check(*row) for row in rows]

@@ -35,6 +35,9 @@ SPOTS = (500.0, 1000.0, 2000.0)
 SIGMAS = (0.2, 0.7, 1.4)
 TAUS = (0.1, 0.5, 1.0)
 HORIZON = 1.25  # keeps the clock interior for every tau on the grid
+# in the second market each leg's theta passes ten times its vega
+HEDGE_MARKETS = (MarketParams.from_rate_differential(0.03, 0.7, 0.1),
+                 MarketParams.from_rate_differential(3.0, 0.1, 200.0))
 
 FIRST_ORDER_TOL = 1e-6
 SECOND_ORDER_TOL = 1e-5
@@ -310,55 +313,89 @@ class TestHedgeReport:
         with pytest.raises(HedgeMismatchError, match="market parameters differ"):
             hedge_report(lp, ig, replace(half_year_market, phi=0.2), 1000.0)
 
-    # in the second market each leg's theta passes ten times its vega
-    @pytest.mark.parametrize("market", [MarketParams.from_rate_differential(0.03, 0.7, 0.1),
-                                        MarketParams.from_rate_differential(3.0, 0.1, 200.0)])
-    @pytest.mark.parametrize("name", ["gamma", "vega"])
-    def test_a_leg_off_by_ten_times_the_tolerance_is_named(self, name, market, monkeypatch,
-                                                           hedge_year):
-        lp, ig = hedge_year
+    @staticmethod
+    def _scale_ig_leg(monkeypatch, name, factor):
+        """Make hedge_report's IG leg return its greek `name` times `factor`."""
         ig_leg = greeks._ig
 
         def broken(*args):
             report = ig_leg(*args)
-            return report._replace(**{name: getattr(report, name) * (1.0 + 10 * greeks._CANCEL_TOL)})
+            return report._replace(**{name: getattr(report, name) * factor})
 
         monkeypatch.setattr(greeks, "_ig", broken)
+
+    @pytest.mark.parametrize("market", HEDGE_MARKETS)
+    @pytest.mark.parametrize("name", ["gamma", "vega"])
+    def test_a_leg_off_by_ten_times_the_tolerance_is_named(self, name, market, monkeypatch,
+                                                           hedge_year):
+        lp, ig = hedge_year
+        self._scale_ig_leg(monkeypatch, name, 1.0 + 10 * greeks._CANCEL_TOL)
         with pytest.raises(ArithmeticError, match=f"^{name} legs failed to cancel: residual "):
             hedge_report(replace(lp, market=market), ig, market, 1100.0)
 
+    # the residual is held to _CANCEL_TOL times the larger leg, not to any looser scale: half
+    # the tolerance passes, twice it fails
+    @pytest.mark.parametrize("market", HEDGE_MARKETS)
+    @pytest.mark.parametrize("name", ["gamma", "vega"])
+    @pytest.mark.parametrize("f", [0.5, 2.0])
+    def test_the_cancellation_tolerance_holds_at_its_boundary(self, f, name, market,
+                                                              monkeypatch, hedge_year):
+        lp, ig = hedge_year
+        lp = replace(lp, market=market)
+        self._scale_ig_leg(monkeypatch, name, 1.0 + f * greeks._CANCEL_TOL)
+        if f > 1.0:
+            with pytest.raises(ArithmeticError, match=f"^{name} legs failed to cancel: "):
+                hedge_report(lp, ig, market, 1100.0)
+            return
+        hedged = hedge_report(lp, ig, market, 1100.0)
+        leg = abs(getattr(hedged.ig, name))
+        assert 0.0 < abs(getattr(hedged.total, name)) <= greeks._CANCEL_TOL * leg
+
 
 class TestGreeksTable:
-    def _states(self, market):
-        unlocked = LpState(POOL, market, s_t=1000.0, t=0.25, maturity_T=0.5, locked=False)
-        locked = replace(unlocked, locked=True)
+    def _terms(self, market):
+        lp = LpState(POOL, market, s_t=1000.0, t=0.25, maturity_T=0.5, locked=True)
         ig = IgContract(notional_v0=10000.0, strike_k=1000.0, maturity_T=0.5, t=0.25)
-        return unlocked, locked, ig
+        return lp, ig
 
     def test_flat_market_columns_match(self):
         # rho needs tau = 0 on top of the flat market before the columns align
         m = MarketParams.from_rate_differential(0.0, 0.0, 0.0)
-        unlocked = LpState(POOL, m, s_t=1000.0, t=0.5, maturity_T=0.5, locked=False)
-        locked = replace(unlocked, locked=True)
+        lp = LpState(POOL, m, s_t=1000.0, t=0.5, maturity_T=0.5, locked=True)
         ig = IgContract(notional_v0=10000.0, strike_k=1000.0, maturity_T=0.5, t=0.5)
-        table = greeks_table(unlocked, locked, ig, m, 1000.0)
+        table = greeks_table(lp, ig, 1000.0)
         for _, u, l, _ in table.rows():
             assert u == l
 
     def test_locked_column_is_the_locked_report(self, half_year_market):
-        unlocked, locked, ig = self._states(half_year_market)
-        table = greeks_table(unlocked, locked, ig, half_year_market, 1234.0)
-        assert table.locked == greeks_locked_lp(replace(locked, s_t=1234.0))
+        lp, ig = self._terms(half_year_market)
+        table = greeks_table(lp, ig, 1234.0)
+        assert table.locked == greeks_locked_lp(replace(lp, s_t=1234.0))
+
+    @pytest.mark.parametrize("locked", [True, False])
+    @pytest.mark.parametrize("s_t", [20.0, 1000.0, 1234.0])
+    def test_columns_are_the_strategy_greeks_at_the_table_spot(self, locked, s_t,
+                                                               half_year_market):
+        # the position's own spot and lock flag do not matter: both LP columns are derived
+        lp, ig = self._terms(half_year_market)
+        lp = replace(lp, locked=locked, s_t=777.0)
+        table = greeks_table(lp, ig, s_t)
+        assert table.unlocked == greeks_unlocked_lp(replace(lp, locked=False, s_t=s_t))
+        assert table.locked == greeks_locked_lp(replace(lp, locked=True, s_t=s_t))
+        assert table.ig == greeks_ig(ig, s_t, half_year_market)
+        factors = decay_factors(half_year_market, lp.tau)
+        assert (table.beta, table.gamma_disc, table.s_t) == (factors.beta, factors.gamma_disc,
+                                                             s_t)
 
     def test_gamma_row_negation_when_strike_at_entry(self, half_year_market):
-        unlocked, locked, ig = self._states(half_year_market)
-        table = greeks_table(unlocked, locked, ig, half_year_market, 777.0)
+        lp, ig = self._terms(half_year_market)
+        table = greeks_table(lp, ig, 777.0)
         rows = dict((label, (u, l, i)) for label, u, l, i in table.rows())
         assert rows["Gamma"][2] == -rows["Gamma"][1]
 
     def test_renderings(self, half_year_market):
-        unlocked, locked, ig = self._states(half_year_market)
-        table = greeks_table(unlocked, locked, ig, half_year_market, 1000.0)
+        lp, ig = self._terms(half_year_market)
+        table = greeks_table(lp, ig, 1000.0)
         text = table.as_text()
         assert "beta" in text and "Delta 1%" in text
         csv_text = table.as_csv()
@@ -367,24 +404,31 @@ class TestGreeksTable:
         assert len(lines) == 8
 
     def test_rejects_incoherent_states(self, half_year_market):
-        unlocked, locked, ig = self._states(half_year_market)
-        other = MarketParams.from_rate_differential(0.05, 0.7, 0.10)
-        with pytest.raises(DomainError):
-            greeks_table(unlocked, locked, ig, other, 1000.0)
-        with pytest.raises(DomainError, match="^lp_unlocked must be an unlocked state$"):
-            greeks_table(locked, locked, ig, half_year_market, 1000.0)
-        with pytest.raises(DomainError, match="^lp_locked must be a locked state$"):
-            greeks_table(unlocked, unlocked, ig, half_year_market, 1000.0)
-        # the two columns must price one position at one clock and maturity: a 5e6 deposit
-        # at 20 next to a 1e4 deposit at 1000 is two positions, not one
-        for edit in ({"position": pool_from_deposit(5e6, 20.0)}, {"t": 0.0},
-                     {"maturity_T": 1.0}):
-            with pytest.raises(DomainError, match="^lp_unlocked and lp_locked must share the "
-                                                  "position, clock and maturity$"):
-                greeks_table(replace(unlocked, **edit), locked, ig, half_year_market, 1000.0)
-        # their spots may differ: the table revalues both at its own
-        table = greeks_table(replace(unlocked, s_t=20.0), locked, ig, half_year_market, 1000.0)
-        assert table.unlocked == greeks_unlocked_lp(unlocked)
+        # the contract must share the position's clock and notional: a 5e6 contract at t 0
+        # beside a 1e4 position at t 0.25 is another instrument, not the position's hedge
+        lp, ig = self._terms(half_year_market)
+        with pytest.raises(DomainError, match=r"^clocks differ: contract t=0\.0 vs position "
+                                              r"t=0\.25$"):
+            greeks_table(replace(lp, locked=False), IgContract(5e6, 20.0, 30.0, 0.0), 1000.0)
+        with pytest.raises(DomainError, match=r"^notionals differ: contract 5000000\.0 vs "
+                                              r"position 10000\.0$"):
+            greeks_table(lp, replace(ig, notional_v0=5e6), 1000.0)
+        with pytest.raises(DomainError, match="^clocks differ: "):
+            greeks_table(lp, replace(ig, t=0.0), 1000.0)
+
+    def test_a_contract_keeps_its_own_strike_and_maturity(self, half_year_market):
+        lp, ig = self._terms(half_year_market)
+        other = replace(ig, strike_k=20.0, maturity_T=30.0)
+        table = greeks_table(lp, other, 1000.0)
+        assert table.ig == greeks_ig(other, 1000.0, half_year_market)
+        # both LP columns and the beta/gamma footer are the position's
+        assert replace(table, ig=None) == replace(greeks_table(lp, ig, 1000.0), ig=None)
+
+    @pytest.mark.parametrize("s_t", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_spot_off_the_domain(self, s_t, half_year_market):
+        lp, ig = self._terms(half_year_market)
+        with pytest.raises(DomainError, match="^s_t must be positive and finite, got "):
+            greeks_table(lp, ig, s_t)
 
 
 class TestRecordContract:

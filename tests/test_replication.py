@@ -32,7 +32,7 @@ from lpgreeks import (
 )
 from lpgreeks import replication
 from lpgreeks.config import load_config
-from lpgreeks.verify import STRIP_REL_TOL
+from lpgreeks.verify import DEFAULT_TARGET_TOL as VERIFY_DEFAULT_TOL, STRIP_REL_TOL
 
 WEEK_TAU = 7.0 / 365.0
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -132,6 +132,12 @@ class TestGridConstruction:
             errors.append(abs(replicate_il_payoff(grid, 4000.0) - impermanent_loss(3.0)))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse / 2.0
+
+    def test_default_target_tol_has_one_owner(self):
+        # build_strike_grid's default and verify's, for a config with no quadrature block
+        assert replication.DEFAULT_TARGET_TOL == 1e-5
+        assert VERIFY_DEFAULT_TOL is replication.DEFAULT_TARGET_TOL
+        assert build_strike_grid(1000.0, 0.7, 1.0).price_tol is replication.DEFAULT_TARGET_TOL
 
     def test_default_node_count_depends_on_target_tol_only(self):
         # the cuts scale with sigma*sqrt(tau) and so does the step: n_side never does

@@ -31,6 +31,7 @@ from .greeks import (
 )
 from .payoff import il_curve
 from .pricing import decay_factors, price_ig, price_locked_lp, price_unlocked_lp
+# this import also loads SciPy in every CLI process, which benchmarks' spans.import_layers needs
 from .verify import _g17, run_verification, write_report
 
 _FIGURE_POINTS = 201

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .errors import ConfigError, DomainError
+# this import also loads SciPy in every CLI and benchmark worker, which spans.import_layers needs
 from .mc import McConfig
 from .pool import pool_from_deposit
 from .pricing import IgContract, LpState, MarketParams

@@ -165,8 +165,10 @@ def replicate_il_payoff(grid: StrikeGrid, s_terminal: float) -> float:
     finer n, or hand-build a StrikeGrid with the half width the payoff's range needs (2048 nodes
     over e^(+-4.76) meet 1e-5 from 0.1 to 10 times the entry price)."""
     require_positive("s_terminal", s_terminal)
-    return -(_leg(grid.put_strikes - s_terminal, grid.put_weights)
-             + _leg(s_terminal - grid.call_strikes, grid.call_weights))
+    put_strikes, put_weights = grid._entry_side(calls=False)
+    call_strikes, call_weights = grid._entry_side(calls=True)
+    return -(_leg(put_strikes - s_terminal, put_weights)
+             + _leg(s_terminal - call_strikes, call_weights))
 
 
 def _lognormal(s_t: float, market: MarketParams, tau: float) -> tuple[float, float, float]:
@@ -304,7 +306,7 @@ def write_grid_csv(grid: StrikeGrid, path) -> None:
     """Audit dump of the strip resolved at the entry price: one row per strike with its folded
     weight and option kind, the entry price once on each side."""
     lines = ["strike,weight,kind"]
-    for kind, strikes, weights in (("put", grid.put_strikes, grid.put_weights),
-                                   ("call", grid.call_strikes, grid.call_weights)):
+    for kind in ("put", "call"):
+        strikes, weights = grid._entry_side(calls=kind == "call")
         lines += [f"{strike:.17g},{weight:.17g},{kind}" for strike, weight in zip(strikes, weights)]
     Path(path).write_text("\n".join(lines) + "\n")

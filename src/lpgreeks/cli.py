@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import click
-import numpy as np
 
 from .config import DAYS_PER_YEAR, ScenarioConfig, load_config
 from .errors import ConfigError, DomainError, HedgeMismatchError
@@ -29,7 +28,7 @@ from .greeks import (
     greeks_unlocked_lp,
     hedge_report,
 )
-from .payoff import il_curve
+from .payoff import _evenly_spaced, il_curve
 from .pricing import decay_factors, price_ig, price_locked_lp, price_unlocked_lp
 # this import also loads SciPy in every CLI process, which benchmarks' spans.import_layers needs
 from .verify import _g17, run_verification, write_report
@@ -191,7 +190,7 @@ def _spot_figure(scenario: ScenarioConfig, prefix: str, field: Optional[str]):
         strategy, ref = "ig", scenario.ig_contract().strike_k
     price, greeks, _ = STRATEGIES[strategy]
     points = []
-    for x in np.linspace(0.1 * ref, 4.0 * ref, _FIGURE_POINTS).tolist():
+    for x in _evenly_spaced(0.1 * ref, 4.0 * ref, _FIGURE_POINTS):
         at_spot = replace(scenario, spot=x)
         points.append((x, price(at_spot) if field is None else getattr(greeks(at_spot), field)))
     return "s_t", points

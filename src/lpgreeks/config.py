@@ -34,19 +34,20 @@ _BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"
            "maximum": (operator.le, "<=")}
 
 
+# the position and ig blocks, each field named after its canonical file key for to_dict's asdict
 @dataclass(frozen=True)
 class PositionConfig:
     v0: float
     s0: float
     t: float
-    maturity: float
+    T: float
     locked: bool
 
 
 @dataclass(frozen=True)
 class IgTerms:
-    strike: float
-    maturity: float
+    k: float
+    T: float
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class ScenarioConfig:
             market=self.market,
             s_t=self.spot,
             t=self.position.t,
-            maturity_T=self.position.maturity,
+            maturity_T=self.position.T,
             locked=self.position.locked,
         )
 
@@ -75,26 +76,17 @@ class ScenarioConfig:
             raise ConfigError("ig: block is required for this command")
         return IgContract(
             notional_v0=self.position.v0,
-            strike_k=self.ig.strike,
-            maturity_T=self.ig.maturity,
+            strike_k=self.ig.k,
+            maturity_T=self.ig.T,
             t=self.position.t,
         )
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical form: rates as the (r_x, r_y) pair, all times in years."""
-        out: dict[str, Any] = {
-            "market": asdict(self.market),
-            "position": {
-                "v0": self.position.v0,
-                "s0": self.position.s0,
-                "t": self.position.t,
-                "T": self.position.maturity,
-                "locked": self.position.locked,
-            },
-            "spot": self.spot,
-        }
+        out: dict[str, Any] = {"market": asdict(self.market), "position": asdict(self.position),
+                               "spot": self.spot}
         if self.ig is not None:
-            out["ig"] = {"k": self.ig.strike, "T": self.ig.maturity}
+            out["ig"] = asdict(self.ig)
         if self.mc is not None:
             out["mc"] = asdict(self.mc)
         if self.quad_tol is not None:
@@ -191,10 +183,10 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
         scenario = ScenarioConfig(
             market=market,
             position=PositionConfig(v0=position["v0"], s0=position["s0"], t=start[0],
-                                    maturity=_maturity(position, "position", start, start[0]),
+                                    T=_maturity(position, "position", start, start[0]),
                                     locked=position.get("locked", False)),
             spot=root["spot"],
-            ig=IgTerms(strike=root["ig"]["k"], maturity=_maturity(root["ig"], "ig", start))
+            ig=IgTerms(k=root["ig"]["k"], T=_maturity(root["ig"], "ig", start))
             if "ig" in root else None,
             mc=McConfig(**root["mc"]) if "mc" in root else None,
             quad_tol=root["quadrature"]["target_tol"] if "quadrature" in root else None,

@@ -106,14 +106,13 @@ def greeks_locked_lp(state: LpState) -> GreeksReport:
     """
     if not state.locked:
         raise DomainError("state is unlocked; use greeks_unlocked_lp")
-    tau = state.tau
-    return _locked_lp(state, state.s_t, tau, _factors(state.market, tau))
+    return _locked_lp(state, state.s_t, _factors(state.market, state.tau))
 
 
-def _locked_lp(state: LpState, s: float, tau: float, factors: tuple) -> GreeksReport:
-    """The greeks_locked_lp body at spot s, given state.tau and its _factors tuple."""
+def _locked_lp(state: LpState, s: float, factors: tuple) -> GreeksReport:
+    """The greeks_locked_lp body at spot s, given the _factors tuple of state.tau."""
     beta, gamma_disc, carry = factors
-    v0, s0 = state.position.notional_v0, state.position.entry_price_s0
+    v0, s0, tau = state.position.notional_v0, state.position.entry_price_s0, state.tau
     m = state.market
     moneyness = math.sqrt(s / s0)
     fee_leg = m.phi * state.maturity_T * gamma_disc
@@ -136,15 +135,13 @@ def greeks_ig(contract: IgContract, s_t: float, market: MarketParams) -> GreeksR
     pool entry price. delta at the strike is V0*(1-beta)/(2K) > 0 for beta < 1.
     """
     require_positive("s_t", s_t)
-    tau = contract.tau
-    return _ig(contract, s_t, market, tau, _factors(market, tau))
+    return _ig(contract, s_t, market, _factors(market, contract.tau))
 
 
-def _ig(contract: IgContract, s_t: float, market: MarketParams, tau: float,
-        factors: tuple) -> GreeksReport:
-    """The greeks_ig body, given contract.tau and its _factors tuple."""
+def _ig(contract: IgContract, s_t: float, market: MarketParams, factors: tuple) -> GreeksReport:
+    """The greeks_ig body, given the _factors tuple of contract.tau."""
     beta, gamma_disc, carry = factors
-    v0, k = contract.notional_v0, contract.strike_k
+    v0, k, tau = contract.notional_v0, contract.strike_k, contract.tau
     moneyness = math.sqrt(s_t / k)
     delta_den, gamma_den = _spot_denominators(k, s_t)
     return GreeksReport.at_spot(
@@ -209,10 +206,9 @@ def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) 
         raise HedgeMismatchError("market parameters differ between the legs")
 
     require_positive("s_t", s_t)
-    tau = lp.tau
-    factors = _factors(lp.market, tau)
-    lp_g = _locked_lp(lp, s_t, tau, factors)
-    ig_g = _ig(ig, s_t, market, ig.tau, factors)
+    factors = _factors(lp.market, lp.tau)
+    lp_g = _locked_lp(lp, s_t, factors)
+    ig_g = _ig(ig, s_t, market, factors)
     total = _sum_reports(lp_g, ig_g)
     for name, i in (("gamma", 2), ("vega", 4)):
         residual, scale = total[i], max(abs(lp_g[i]), abs(ig_g[i]))

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError, require_positive
 
 
@@ -38,5 +36,12 @@ def il_curve(r_min: float, r_max: float, n_points: int) -> list[tuple[float, flo
         raise DomainError(f"need -1 <= r_min < r_max, got [{r_min!r}, {r_max!r}]")
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points!r}")
-    grid = np.linspace(r_min, r_max, n_points)
-    return [(float(r), impermanent_loss(float(r))) for r in grid]
+    return [(r, impermanent_loss(r)) for r in _evenly_spaced(r_min, r_max, n_points)]
+
+
+def _evenly_spaced(start: float, stop: float, n: int) -> list[float]:
+    """n >= 2 floats from start to stop itself with numpy.linspace's bits: start + i*step for
+    step = (stop - start)/(n - 1), or start + i/(n - 1)*(stop - start) where step underflows to 0."""
+    delta, div = stop - start, n - 1
+    step = delta / div
+    return [(i * step if step else i / div * delta) + start for i in range(div)] + [stop]

@@ -215,14 +215,6 @@ def vanilla_price(strike: float, s_t: float, market: MarketParams, tau: float,
     return VanillaQuote(strike=float(strike), tau=float(tau), kind=kind, premium=premium)
 
 
-def _log_step(contract: IgContract, grid: StrikeGrid) -> float:
-    """The grid's log-strike step h; a DomainError where the grid is not centered on the
-    contract strike."""
-    if not math.isclose(grid.entry_price, contract.strike_k, rel_tol=1e-9):
-        raise DomainError("grid is not centered on the contract strike")
-    return grid.log_step
-
-
 def _coth_minus_one(x: float) -> float:
     """x*coth(x) - 1 to about 1e-14 relative: its Maclaurin series up to x = 1/4, where the
     closed form would cancel, and the closed form beyond."""
@@ -254,11 +246,11 @@ def price_ig_via_strip(contract: IgContract, s_t: float, market: MarketParams,
     subtracted. What is left is the exponentially small error of a smooth integrand and the tail
     beyond the cuts F*e^(+-half_width) (see build_strike_grid and strip_price_error_bound). At
     sigma*sqrt(tau) = 0 on its own grid the strip is empty and the price is v0*disc*g(F), with
-    g(F) = (1 - sqrt(F/K0))**2/2. A DomainError where the grid is not centered on the contract
-    strike.
+    g(F) = (1 - sqrt(F/K0))**2/2. Of the grid the price reads only its log step, half width and
+    node count, never its entry price, so a grid built at another strike gives the same bits.
     """
     require_positive("s_t", s_t)
-    x = 0.25 * _log_step(contract, grid)
+    x = 0.25 * grid.log_step
     forward, disc, vol = _lognormal(s_t, market, contract.tau)
     n, values = grid.n_side, []
     for i in range(n + 1):
@@ -286,10 +278,11 @@ def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketPara
     lower cut L a put's integrand is at most e^(u/2)*N(-d2(L))/4 and above the upper cut U a
     call's at most e^(-u/2)*N(d1(U))/4, so the nodes left out sum to at most x*coth(x) times
     tails = e^(-half_width/2) * N(v/2 - half_width/v). rounding is n_strikes*eps times the sizes
-    of the sums the strip and the closed form add up, sqrt(F/K0)*x*coth(x) + (1 + F/K0)/2. A
-    DomainError where price_ig_via_strip refuses the grid or the bound is not finite.
+    of the sums the strip and the closed form add up, sqrt(F/K0)*x*coth(x) + (1 + F/K0)/2. Like
+    the price it reads only the grid's step, half width, node count and price_tol. A DomainError
+    where the bound is not finite.
     """
-    h = _log_step(contract, grid)
+    h = grid.log_step
     forward, disc, vol = _lognormal(s_t, market, contract.tau)
     step_tol = math.exp(-2.0 * (math.pi * vol / h) ** 2) if h > 0.0 else 0.0
     x_coth_x = 1.0 + _coth_minus_one(0.25 * h)
@@ -303,7 +296,8 @@ def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketPara
 
 
 def write_grid_csv(grid: StrikeGrid, path) -> None:
-    """Audit dump of the strip resolved at the entry price: one row per strike with its folded
+    """Audit dump of the payoff strip resolved at the entry price, as replicate_il_payoff uses
+    it, not the forward-centred strikes the price sums: one row per strike with its folded
     weight and option kind, the entry price once on each side."""
     lines = ["strike,weight,kind"]
     for kind in ("put", "call"):

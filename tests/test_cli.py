@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from lpgreeks import (
     price_locked_lp,
     price_unlocked_lp,
 )
-from lpgreeks.cli import cli
+from lpgreeks.cli import cli, main
 
 REPO = Path(__file__).resolve().parents[1]
 HALF_YEAR_CONFIG = REPO / "configs" / "locked-half-year.json"
@@ -657,3 +659,19 @@ class TestErrorMapping:
         assert result.exit_code == 1
         assert result.output.startswith(
             "internal consistency failure: gamma legs failed to cancel")
+
+
+class TestEntryPoints:
+    # --help, not --version: click reads the version from the installed distribution's
+    # metadata, which a source checkout on PYTHONPATH does not have. runpy warns that it
+    # re-executes a module this test process has already imported.
+    @pytest.mark.filterwarnings("ignore:'lpgreeks.cli' found in sys.modules:RuntimeWarning")
+    @pytest.mark.parametrize("run", [
+        main, lambda: runpy.run_module("lpgreeks.cli", run_name="__main__"),
+    ], ids=["main", "run-as-script"])
+    def test_entry_point_runs_the_group(self, run, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["lpgreeks", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("Usage: lpgreeks [OPTIONS] COMMAND")

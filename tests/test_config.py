@@ -1,12 +1,15 @@
 import copy
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from lpgreeks import ConfigError
+from lpgreeks import ConfigError, McConfig
 from lpgreeks.config import (
+    IgTerms,
+    PositionConfig,
     ScenarioConfig,
     dumps_config,
     load_config,
@@ -32,7 +35,7 @@ def test_full_config_parses():
     assert scenario.market.r_f == pytest.approx(0.03)
     assert scenario.position.locked is True
     assert scenario.spot == 1000.0
-    assert scenario.ig.strike == 1000.0
+    assert scenario.ig.k == 1000.0
     assert scenario.mc.seed == 42
     assert scenario.quad_tol == 1e-5
 
@@ -49,8 +52,8 @@ def test_day_count_suffix():
     data["position"] = {"v0": 10000, "s0": 1000, "t": 0, "T_days": 7, "locked": True}
     data["ig"] = {"k": 1000, "T_days": 7}
     scenario = scenario_from_dict(data)
-    assert scenario.position.maturity == pytest.approx(7.0 / 365.0)
-    assert scenario.ig.maturity == pytest.approx(7.0 / 365.0)
+    assert scenario.position.T == pytest.approx(7.0 / 365.0)
+    assert scenario.ig.T == pytest.approx(7.0 / 365.0)
 
 
 def test_optional_blocks_default_to_none():
@@ -60,7 +63,7 @@ def test_optional_blocks_default_to_none():
     assert scenario.ig is None and scenario.mc is None and scenario.quad_tol is None
     assert scenario.position.t == 0.0
     assert scenario.position.locked is False
-    assert scenario.position.maturity == 0.0
+    assert scenario.position.T == 0.0
 
 
 @pytest.mark.parametrize("mutate,fragment", [
@@ -237,3 +240,11 @@ def test_type_errors_name_the_field(path):
     with pytest.raises(ConfigError) as excinfo:
         scenario_from_dict(_with_field(path, "x"))
     assert str(excinfo.value).startswith(f"{path}: expected ")
+
+
+@pytest.mark.parametrize("record,section", [(PositionConfig, "position"), (IgTerms, "ig"),
+                                            (McConfig, "mc")])
+def test_section_fields_are_schema_keys(record, section):
+    # to_dict dumps each of these records with asdict, so its field names are the file's keys
+    names = {field.name for field in dataclasses.fields(record)}
+    assert names <= set(SCHEMA["properties"][section]["properties"])

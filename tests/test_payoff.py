@@ -1,5 +1,11 @@
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +21,7 @@ from lpgreeks import (
     lp_value,
     pool_from_deposit,
 )
+from lpgreeks import payoff
 
 returns = st.floats(min_value=-1.0, max_value=1e6)
 
@@ -122,3 +129,34 @@ class TestIlCurve:
         for r, expected in [(0.0, 0.0), (3.0, -0.5), (-0.75, -0.125)]:
             alpha = r + 1.0
             assert math.sqrt(alpha) - alpha / 2.0 - 0.5 == expected
+
+
+class TestEvenlySpaced:
+    def test_matches_numpy_linspace_bits(self):
+        # return grids, figure spot ranges 0.1*ref..4*ref across the float range, and subnormal
+        # ranges, where the step underflows to 0 and numpy takes its i/(n - 1)*(stop - start) branch
+        rng = random.Random(20261020)
+        zero_steps = 0
+        for case in range(3000):
+            if case % 3 == 0:
+                start = rng.choice([0.0, -0.0, 5e-324, -1e-310, 1e-308])
+                stop = start + rng.choice([5e-324, 1e-323, 4e-322, 2e-320])
+            elif case % 3 == 1:
+                start = rng.uniform(-1.0, 3.0)
+                stop = start + rng.uniform(1e-6, 4.0)
+            else:
+                ref = 10.0 ** rng.uniform(-300.0, 300.0)
+                start, stop = 0.1 * ref, 4.0 * ref
+            n = 2 if case % 5 == 0 else rng.randint(3, 300)
+            zero_steps += (stop - start) / (n - 1) == 0.0
+            want = [x.hex() for x in np.linspace(start, stop, n).tolist()]
+            assert [x.hex() for x in payoff._evenly_spaced(start, stop, n)] == want, (start, stop, n)
+        assert zero_steps > 100
+
+    def test_il_curve_loads_no_numpy(self):
+        src = str(Path(payoff.__file__).resolve().parents[1])
+        probe = ("import sys; from lpgreeks.payoff import il_curve; il_curve(-1.0, 3.0, 201); "
+                 "print('numpy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout == "False\n"

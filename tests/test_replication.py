@@ -661,19 +661,15 @@ class TestStripPricing:
         with pytest.raises(DomainError, match="strip error bound must be finite, got inf"):
             strip_price_error_bound(contract, 1e150, market, grid)
 
-    def test_rejects_off_center_grid(self, week_setup):
-        market, _, grid = week_setup
-        shifted = IgContract(notional_v0=10000.0, strike_k=1111.0,
-                             maturity_T=WEEK_TAU, t=0.0)
-        with pytest.raises(DomainError):
-            price_ig_via_strip(shifted, 1000.0, market, grid)
-
-    def test_bound_rejects_off_center_grid(self, week_setup):
-        market, _, grid = week_setup
-        shifted = IgContract(notional_v0=10000.0, strike_k=1111.0,
-                             maturity_T=WEEK_TAU, t=0.0)
-        with pytest.raises(DomainError, match="grid is not centered on the contract strike"):
-            strip_price_error_bound(shifted, 1000.0, market, grid)
+    def test_grid_built_at_another_strike_gives_the_same_bits(self, week_setup):
+        # the strip is spanned at the forward, so the grid's entry price never enters the price
+        market, contract, grid = week_setup
+        elsewhere = build_strike_grid(1111.0, 0.7, WEEK_TAU, target_tol=1e-5)
+        assert elsewhere.entry_price == 1111.0
+        for spot in (800.0, 1000.0, 1250.0):
+            for route in (price_ig_via_strip, strip_price_error_bound):
+                assert route(contract, spot, market, elsewhere) == route(contract, spot, market,
+                                                                         grid)
 
     def test_hand_built_grid_has_one_uniform_log_step(self, week_setup):
         # the kink term takes h = log_step from the rule: both sides must step by it

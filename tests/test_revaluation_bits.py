@@ -101,8 +101,8 @@ def ref_hedge_report(lp, ig, market, s_t):
     require_positive("s_t", s_t)
     tau = lp.tau
     factors = ref_factors(lp.market, tau)
-    lp_g = greeks._locked_lp(lp, s_t, tau, factors)
-    ig_g = greeks._ig(ig, s_t, market, ig.tau, factors)
+    lp_g = greeks._locked_lp(lp, s_t, factors)
+    ig_g = greeks._ig(ig, s_t, market, factors)
     total = ref_sum_reports(lp_g, ig_g)
     for name in ("gamma", "vega"):
         residual = getattr(total, name)

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import click
 
+from . import __version__
 from .config import DAYS_PER_YEAR, ScenarioConfig, load_config
 from .errors import ConfigError, DomainError, HedgeMismatchError
 from .greeks import (
@@ -38,7 +39,7 @@ _FIGURE_POINTS = 201
 
 def _locked_state(scenario: ScenarioConfig, user: str):
     if not scenario.position.locked:
-        raise DomainError(f"{user} needs a locked position: position.locked is false")
+        raise ConfigError(f"{user} needs a locked position: position.locked is false")
     return scenario.lp_state()
 
 
@@ -98,7 +99,7 @@ class _Cli(click.Group):
 
 
 @click.group(cls=_Cli)
-@click.version_option(package_name="lpgreeks")
+@click.version_option(version=__version__)
 def cli() -> None:
     """Analytics for constant-product AMM liquidity positions and the
     Impermanent Gain contract."""

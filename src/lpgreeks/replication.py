@@ -8,9 +8,9 @@ v0*disc*g(F) plus the cost of that out-of-the-money strip; the LP shortfall -g i
 strip. The strip is a trapezoid rule in u = log(K/F) on the nodes u = half_width*i/n_side for
 i = -n_side..n_side, so a grid is four scalars and a build allocates nothing. Every option value is
 taken at a unit forward, which makes the strip's cost per unit notional disc*sqrt(F/K0) times a
-function of half_width, n_side and sigma*sqrt(tau) alone. The strip and the vanillas are priced
-by one scalar Black value on the standard library's exp and erfc, and the strip is summed with
-math.fsum, so results are bit-reproducible.
+function of half_width, n_side and sigma*sqrt(tau) alone. The module runs on the standard library
+alone: one scalar Black value on math.exp and math.erfc prices the strip and the vanillas, the
+payoff strip is tuples of floats, and math.fsum adds both sums, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -19,13 +19,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DomainError, require_finite, require_non_negative, require_positive
 from .pricing import IgContract, MarketParams, _factors, forward_price
 
 # nodes per side a grid may hold: bounds one strip price's scalar loop (n_side + 1 Black values,
-# seconds at the cap) and each of the payoff's strike and weight arrays (16 MB at the cap)
+# seconds at the cap) and each payoff strike or weight tuple (2M floats, about 64 MB, at the cap)
 _N_MAX = 1 << 21
 _SQRT2 = math.sqrt(2.0)
 # the strip price's tolerance where none is given: build_strike_grid's, and verify's by default
@@ -68,9 +66,9 @@ class StrikeGrid:
 
     put_strikes, put_weights, call_strikes and call_weights resolve the strip at the entry price,
     the F = K0 case, with the entry price on both sides at a half weight: puts from
-    entry_price*e^-half_width up to it and calls from it up to entry_price*e^+half_width. A
-    weight is coeff*h*K*|g''(K)| = coeff*h/(4*sqrt(K*K0)), so a strip value is
-    sum(weights * option values).
+    entry_price*e^-half_width up to it and calls from it up to entry_price*e^+half_width. Each
+    is a tuple of n_side + 1 floats, built on access. A weight is coeff*h*K*|g''(K)| =
+    coeff*h/(4*sqrt(K*K0)), so a strip value is the sum of weight * option value over the nodes.
     """
 
     entry_price: float
@@ -86,17 +84,17 @@ class StrikeGrid:
         if not 0.0 <= self.price_tol < math.inf:
             raise DomainError(f"price_tol must be finite and >= 0, got {self.price_tol!r}")
 
-    def _entry_side(self, calls: bool) -> tuple[np.ndarray, np.ndarray]:
-        """(strikes, weights) of the puts or the calls resolved at the entry price, the entry
-        price itself at a half weight; a weight coeff*h/(4*sqrt(K*K0)) is formed as
-        coeff*h*e^(-u/2)/(4*K0)."""
-        n = self.n_side
-        u = self.half_width * ((np.arange(0, n + 1) if calls else np.arange(-n, 1)) / n)
-        coeff = np.ones(n + 1)
-        coeff[-1 if calls else 0] = 0.5  # the outer end of the trapezoid
-        weights = coeff * self.log_step * np.exp(-0.5 * u) / (4.0 * self.entry_price)
-        weights[0 if calls else -1] *= 0.5
-        return self.entry_price * np.exp(u), weights
+    def _entry_side(self, calls: bool) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(strikes, weights) of the puts or the calls resolved at the entry price, at the nodes
+        u = half_width*i/n_side, i = -n_side..0 or 0..n_side: a strike is K0*e^u, and a weight
+        coeff*h/(4*sqrt(K*K0)) is formed as coeff*h*e^(-u/2)/(4*K0), with coeff 1/2 at both ends
+        of the side (the entry price and the outer cut) and 1 between them."""
+        n, h, k0 = self.n_side, self.log_step, self.entry_price
+        steps = range(n + 1) if calls else range(-n, 1)
+        nodes = [self.half_width * (i / n) for i in steps]
+        weights = tuple((0.5 if i % n == 0 else 1.0) * h * math.exp(-0.5 * u) / (4.0 * k0)
+                        for i, u in zip(steps, nodes))
+        return tuple(k0 * math.exp(u) for u in nodes), weights
 
     put_strikes = property(lambda self: self._entry_side(calls=False)[0])
     put_weights = property(lambda self: self._entry_side(calls=False)[1])
@@ -120,13 +118,6 @@ class VanillaQuote:
     tau: float
     kind: str
     premium: float
-
-
-def _leg(payoff: np.ndarray, weights: np.ndarray) -> float:
-    """Sum of max(payoff, 0) * weights, computed in place in payoff."""
-    np.maximum(payoff, 0.0, out=payoff)
-    payoff *= weights
-    return float(payoff.sum())
 
 
 def build_strike_grid(s0: float, sigma: float, tau: float,
@@ -163,12 +154,13 @@ def replicate_il_payoff(grid: StrikeGrid, s_terminal: float) -> float:
     and its error falls only as h**2, not exponentially as the price's does, so a grid sized for
     the price reconstructs the payoff coarsely: take dataclasses.replace(grid, n_side=n) with a
     finer n, or hand-build a StrikeGrid with the half width the payoff's range needs (2048 nodes
-    over e^(+-4.76) meet 1e-5 from 0.1 to 10 times the entry price)."""
+    over e^(+-4.76) meet 1e-5 from 0.1 to 10 times the entry price). Both legs are added by one
+    math.fsum, exactly rounded, as the strip price is."""
     require_positive("s_terminal", s_terminal)
     put_strikes, put_weights = grid._entry_side(calls=False)
     call_strikes, call_weights = grid._entry_side(calls=True)
-    return -(_leg(put_strikes - s_terminal, put_weights)
-             + _leg(s_terminal - call_strikes, call_weights))
+    return -math.fsum([*(max(k - s_terminal, 0.0) * w for k, w in zip(put_strikes, put_weights)),
+                       *(max(s_terminal - k, 0.0) * w for k, w in zip(call_strikes, call_weights))])
 
 
 def _lognormal(s_t: float, market: MarketParams, tau: float) -> tuple[float, float, float]:

@@ -85,7 +85,7 @@ class TestPriceCommand:
         state = LpState(pos, market, s_t=1000.0, t=0.25, maturity_T=0.5, locked=True)
         assert record["price"] == price_locked_lp(state)
 
-    def test_wrong_lock_state_is_domain_error(self, runner, tmp_path):
+    def test_wrong_lock_state_is_config_error(self, runner, tmp_path):
         data = {
             "market": {"r_f": 0.0, "sigma": 0.2, "phi": 0.0},
             "position": {"v0": 1, "s0": 1, "locked": False},
@@ -94,7 +94,7 @@ class TestPriceCommand:
         path = write_config(tmp_path, data)
         result = runner.invoke(cli, ["price", "--config", str(path),
                                      "--strategy", "locked-lp"])
-        assert result.exit_code == 3
+        assert result.exit_code == 2
 
     def test_unlocked_lp_values_a_locked_position_as_redeemable(self, runner):
         # V0 * (sqrt(s_t/s0) + phi*t) = 10000 * (1 + 0.1*0.25)
@@ -110,8 +110,8 @@ class TestPriceCommand:
         data["position"]["locked"] = False
         result = runner.invoke(cli, [command, "--config", str(write_config(tmp_path, data)),
                                      "--strategy", "locked-lp"])
-        assert result.exit_code == 3
-        assert result.stderr == ("domain error: --strategy locked-lp needs a locked position: "
+        assert result.exit_code == 2
+        assert result.stderr == ("config error: --strategy locked-lp needs a locked position: "
                                  "position.locked is false\n")
 
     def test_unlocked_lp_echoes_the_factors_of_its_redeemable_price(self, runner, tmp_path):
@@ -309,8 +309,8 @@ class TestTableCommand:
         data["position"]["locked"] = False
         path = write_config(tmp_path, data)
         result = runner.invoke(cli, ["table", "--config", str(path)])
-        assert result.exit_code == 3
-        assert result.stderr == ("domain error: table needs a locked position: "
+        assert result.exit_code == 2
+        assert result.stderr == ("config error: table needs a locked position: "
                                  "position.locked is false\n")
 
 
@@ -661,17 +661,30 @@ class TestErrorMapping:
             "internal consistency failure: gamma legs failed to cancel")
 
 
+# runpy warns that it re-executes a module this test process has already imported
+_ENTRY_POINTS = pytest.mark.parametrize("run", [
+    main, lambda: runpy.run_module("lpgreeks.cli", run_name="__main__"),
+], ids=["main", "run-as-script"])
+_RERUN_WARNING = pytest.mark.filterwarnings(
+    "ignore:'lpgreeks.cli' found in sys.modules:RuntimeWarning")
+
+
 class TestEntryPoints:
-    # --help, not --version: click reads the version from the installed distribution's
-    # metadata, which a source checkout on PYTHONPATH does not have. runpy warns that it
-    # re-executes a module this test process has already imported.
-    @pytest.mark.filterwarnings("ignore:'lpgreeks.cli' found in sys.modules:RuntimeWarning")
-    @pytest.mark.parametrize("run", [
-        main, lambda: runpy.run_module("lpgreeks.cli", run_name="__main__"),
-    ], ids=["main", "run-as-script"])
+    @_RERUN_WARNING
+    @_ENTRY_POINTS
     def test_entry_point_runs_the_group(self, run, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["lpgreeks", "--help"])
         with pytest.raises(SystemExit) as exc:
             run()
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("Usage: lpgreeks [OPTIONS] COMMAND")
+
+    @_RERUN_WARNING
+    @_ENTRY_POINTS
+    def test_version_needs_no_installed_distribution(self, run, monkeypatch, capsys):
+        # the version is the package's __version__, so a source checkout on PYTHONPATH prints it
+        monkeypatch.setattr(sys, "argv", ["lpgreeks", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "lpgreeks, version 0.1.0\n"

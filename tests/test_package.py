@@ -1,6 +1,8 @@
-"""The package surface: `import lpgreeks` loads nothing, and each exported name
-imports its module on first use."""
+"""The package surface: `import lpgreeks` loads nothing, each exported name
+imports its module on first use, and only the Monte Carlo engine imports numpy
+or SciPy."""
 
+import ast
 import importlib
 import json
 import os
@@ -45,12 +47,36 @@ print(json.dumps({"import": after_import, "price_ig": after_price_ig, "cached": 
 """
 
 
+# Runs the whole option strip, the payoff dump included, and prints the numpy and SciPy
+# modules the interpreter then holds.
+_STRIP_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+
+import lpgreeks as g
+
+contract, market = g.IgContract(1e4, 1000.0, 0.5, 0.0), g.MarketParams(0.03, 0.0, 0.7, 0.1)
+grid = g.build_strike_grid(1000.0, 0.7, 0.5)
+g.price_ig_via_strip(contract, 1100.0, market, grid)
+g.strip_price_error_bound(contract, 1100.0, market, grid)
+g.vanilla_price(1000.0, 1100.0, market, 0.5, "put")
+g.replicate_il_payoff(grid, 1100.0)
+with tempfile.TemporaryDirectory() as tmp:
+    g.write_grid_csv(grid, Path(tmp) / "grid.csv")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
+"""
+SRC = Path(lpgreeks.__file__).resolve().parents[1]
+
+
+def _run(code: str):
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    return json.loads(done.stdout)
+
+
 @pytest.fixture(scope="module")
 def probe():
-    src = str(Path(lpgreeks.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True,
-                          check=True, env={**os.environ, "PYTHONPATH": src})
-    return json.loads(done.stdout)
+    return _run(_PROBE)
 
 
 def test_import_loads_no_submodule_numpy_or_scipy(probe):
@@ -90,3 +116,22 @@ def test_submodules_import_from_the_package():
 
     assert greeks is sys.modules["lpgreeks.greeks"]
     assert pricing is sys.modules["lpgreeks.pricing"]
+
+
+def test_the_option_strip_loads_neither_numpy_nor_scipy():
+    assert _run(_STRIP_PROBE) == []
+
+
+def test_only_mc_imports_numpy_or_scipy():
+    importers = []
+    for path in sorted((SRC / "lpgreeks").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("numpy", "scipy") for name in names):
+                importers.append(path.name)
+    assert set(importers) == {"mc.py"}, importers

@@ -100,10 +100,9 @@ class TestGridConstruction:
         assert grid.put_strikes[0] < 1000.0 < grid.call_strikes[-1]
         assert grid.put_strikes[0] == pytest.approx(1000.0 * math.exp(-a * 0.7), rel=1e-14)
         assert grid.call_strikes[-1] == pytest.approx(1000.0 * math.exp(a * 0.7), rel=1e-14)
-        assert np.all(np.diff(grid.put_strikes) > 0.0)
-        assert np.all(np.diff(grid.call_strikes) > 0.0)
-        assert np.all(grid.put_weights > 0.0)
-        assert np.all(grid.call_weights > 0.0)
+        for strikes in (grid.put_strikes, grid.call_strikes):
+            assert all(low < high for low, high in zip(strikes, strikes[1:]))
+        assert all(weight > 0.0 for weight in grid.put_weights + grid.call_weights)
 
     def test_minimum_half_width(self):
         # where sigma*sqrt(tau) is 0 so is the half width: the strip collapses onto its centre
@@ -111,8 +110,9 @@ class TestGridConstruction:
             grid = build_strike_grid(1000.0, sigma, tau, target_tol=1e-3)
             assert grid.half_width == 0.0 and grid.log_step == 0.0
             assert grid.n_side == _rule(1e-3)[1] and grid.n_strikes == 2 * grid.n_side + 1
-            assert np.all(grid.put_strikes == 1000.0) and np.all(grid.call_strikes == 1000.0)
-            assert np.all(grid.put_weights == 0.0) and np.all(grid.call_weights == 0.0)
+            side = grid.n_side + 1
+            assert grid.put_strikes == grid.call_strikes == (1000.0,) * side
+            assert grid.put_weights == grid.call_weights == (0.0,) * side
 
     def test_reported_estimate_meets_tolerance(self):
         # the payoff-sized level the reconstruction needs for 1e-6; the default grid, sized
@@ -219,16 +219,19 @@ class TestGridConstruction:
             assert grid != other
 
     def test_grid_arrays_are_read_only(self):
-        # a grid holds its four scalars only and shares no array: each resolved side is built on
-        # access, so writing to one leaves the grid as it was
+        # a grid holds its four scalars only and shares no mutable sequence: each resolved side
+        # is a tuple of floats built on access, which no caller can write to
         grid = build_strike_grid(1000.0, 0.7, 1.0)
         assert [f.name for f in dataclasses.fields(grid)] == ["entry_price", "half_width", "n_side",
                                                   "price_tol"]
+        assert [type(value) for value in vars(grid).values()] == [float, float, int, float]
         for name in ("put_strikes", "put_weights", "call_strikes", "call_weights"):
-            array = getattr(grid, name)
-            want = array.tobytes()
-            array[:] = -1.0
-            assert getattr(grid, name).tobytes() == want, name
+            side = getattr(grid, name)
+            assert type(side) is tuple and len(side) == grid.n_side + 1, name
+            assert {type(value) for value in side} == {float}, name
+            assert side == getattr(grid, name) and side is not getattr(grid, name), name
+            with pytest.raises(TypeError):
+                side[0] = -1.0
         with pytest.raises(FrozenInstanceError):
             grid.n_side = 128
 
@@ -263,9 +266,10 @@ def _fuzz_grid(s0: float, sigma: float, tau: float, target_tol: float,
 
 
 def _one_price_reconstruction(grid, s_terminal: float) -> float:
-    put_leg = float(np.sum(np.maximum(grid.put_strikes - s_terminal, 0.0) * grid.put_weights))
-    call_leg = float(np.sum(np.maximum(s_terminal - grid.call_strikes, 0.0) * grid.call_weights))
-    return -(put_leg + call_leg)
+    """Minus the fsum of every node's payoff times its weight, read off the grid's four sides."""
+    puts = [max(k - s_terminal, 0.0) * w for k, w in zip(grid.put_strikes, grid.put_weights)]
+    calls = [max(s_terminal - k, 0.0) * w for k, w in zip(grid.call_strikes, grid.call_weights)]
+    return -math.fsum(puts + calls)
 
 
 class TestNestedRefinement:
@@ -285,20 +289,19 @@ class TestNestedRefinement:
             assert grid.half_width == pytest.approx(_rule(target_tol)[0] * sigma * math.sqrt(tau),
                                                         rel=1e-14)
             # each side typed out: K = s0*e^u, weight coeff*h/(4*sqrt(K*s0)), half at both ends
-            for u, strikes, weights in (
-                    (grid.half_width * (np.arange(-n, 1) / n), grid.put_strikes, grid.put_weights),
-                    (grid.half_width * (np.arange(0, n + 1) / n), grid.call_strikes,
-                     grid.call_weights)):
-                assert strikes.tobytes() == (s0 * np.exp(u)).tobytes()
-                coeff = np.full(n + 1, grid.log_step)
+            for steps, strikes, weights in ((range(-n, 1), grid.put_strikes, grid.put_weights),
+                                            (range(n + 1), grid.call_strikes, grid.call_weights)):
+                u = [grid.half_width * (i / n) for i in steps]
+                assert [k.hex() for k in strikes] == [(s0 * math.exp(x)).hex() for x in u]
+                coeff = [grid.log_step] * (n + 1)
                 coeff[0] = coeff[-1] = 0.5 * grid.log_step
-                want = coeff / (4.0 * np.sqrt(np.exp(u)) * s0)
-                assert np.allclose(weights, want, rtol=1e-14, atol=0.0)
+                want = [c / (4.0 * math.sqrt(math.exp(x)) * s0) for c, x in zip(coeff, u)]
+                assert all(abs(w - ref) <= 1e-14 * ref for w, ref in zip(weights, want, strict=True))
 
             assert grid.price_tol == target_tol
 
-            prices = s0 * np.array([0.1, 0.5, 1.0, 2.0, 10.0, rng.uniform(0.01, 20.0)])
-            for s_terminal in prices.tolist():
+            for ratio in (0.1, 0.5, 1.0, 2.0, 10.0, rng.uniform(0.01, 20.0)):
+                s_terminal = s0 * ratio
                 single = replicate_il_payoff(grid, s_terminal)
                 assert type(single) is float
                 assert single.hex() == _one_price_reconstruction(grid, s_terminal).hex()

@@ -16,19 +16,18 @@ shipped closed forms themselves (pricing.lp_premium and pricing.ig_premium).
 
 PRNG: Philox 4x64 (10 rounds) as implemented by numpy.random.Philox, keyed by
 the seed. numpy guarantees stream stability for a released BitGenerator.
+numpy, Philox and scipy.special.ndtri are imported on the first draw, not with
+the module, so a caller that only reads McConfig loads neither library.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
-
-import numpy as np
-from numpy.random import Philox
-from scipy.special import ndtri
 
 from .errors import (DomainError, StepCollapseError, require_finite, require_non_negative,
                      require_positive)
@@ -43,6 +42,29 @@ PRICERS = {"unlocked_lp": _LP_FIELDS, "locked_lp": _LP_FIELDS, "ig": ("v0", "str
 _STEPS = {"delta": ("s_t", 1e-5), "gamma": ("s_t", 1e-4), "vega": ("sig", 1e-5),
           "theta": ("clock", 1e-5), "rho": ("rate", 1e-5)}
 GREEK_NAMES = tuple(_STEPS)
+_DRAW_LOCK = threading.Lock()
+
+
+def _load_draws() -> None:
+    """Import numpy, Philox and ndtri and bind them as np, Philox and ndtri, all three at once
+    and only once: a name bound here, or swapped in later, is never rebound."""
+    if "ndtri" in globals():
+        return
+    with _DRAW_LOCK:
+        if "ndtri" in globals():
+            return
+        import numpy
+        from numpy.random import Philox
+        from scipy.special import ndtri
+        globals().update(np=numpy, Philox=Philox, ndtri=ndtri)
+
+
+def __getattr__(name: str):
+    """Resolve np, Philox and ndtri through _load_draws (PEP 562)."""
+    if name not in ("np", "Philox", "ndtri"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_draws()
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -103,6 +125,7 @@ class McScenario:
 def sample_terminal(s_t: float, market: MarketParams, tau: float, draw):
     """Exact lognormal terminal prices for standard normal draws, a float or an
     array: s_t * exp((r_f - sigma^2/2) * tau + sigma * sqrt(tau) * draw)."""
+    _load_draws()
     require_positive("s_t", s_t)
     require_non_negative("tau", tau)
     sigma = market.sigma
@@ -141,6 +164,7 @@ def _stream_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     Philox counts in 4-word blocks, so chunk starts must be 4-aligned; one
     64-bit word yields one uniform via the usual 53-bit scaling.
     """
+    _load_draws()
     if start % 4:
         raise DomainError("stream offsets must be multiples of 4")
     bitgen = Philox(key=seed)
@@ -205,6 +229,7 @@ def mc_price(payoff: str | Sequence[str], scenario: McScenario | Sequence[McScen
         fields, _, value = PAYOFFS[name]
         _require_fields(f"payoff {name!r}", fields, scn)
         laws.setdefault((scn.s_t, scn.market, scn.tau), []).append((j, value, scn))
+    _load_draws()
     n = cfg.n_paths
     spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
     stats = partial(_chunk_stats, laws, len(payoffs), cfg)

@@ -88,13 +88,18 @@ class StrikeGrid:
         """(strikes, weights) of the puts or the calls resolved at the entry price, at the nodes
         u = half_width*i/n_side, i = -n_side..0 or 0..n_side: a strike is K0*e^u, and a weight
         coeff*h/(4*sqrt(K*K0)) is formed as coeff*h*e^(-u/2)/(4*K0), with coeff 1/2 at both ends
-        of the side (the entry price and the outer cut) and 1 between them."""
+        of the side (the entry price and the outer cut) and 1 between them. A DomainError where
+        e^u (calls, half_width past 709.78) or e^(-u/2) (puts, past 1419.56) overflows."""
         n, h, k0 = self.n_side, self.log_step, self.entry_price
         steps = range(n + 1) if calls else range(-n, 1)
         nodes = [self.half_width * (i / n) for i in steps]
-        weights = tuple((0.5 if i % n == 0 else 1.0) * h * math.exp(-0.5 * u) / (4.0 * k0)
-                        for i, u in zip(steps, nodes))
-        return tuple(k0 * math.exp(u) for u in nodes), weights
+        try:
+            weights = tuple((0.5 if i % n == 0 else 1.0) * h * math.exp(-0.5 * u) / (4.0 * k0)
+                            for i, u in zip(steps, nodes))
+            return tuple(k0 * math.exp(u) for u in nodes), weights
+        except OverflowError:
+            raise DomainError(f"the {'call' if calls else 'put'} side's outer node overflows "
+                              f"math.exp at half_width={self.half_width!r}") from None
 
     put_strikes = property(lambda self: self._entry_side(calls=False)[0])
     put_weights = property(lambda self: self._entry_side(calls=False)[1])

@@ -235,6 +235,26 @@ class TestGridConstruction:
         with pytest.raises(FrozenInstanceError):
             grid.n_side = 128
 
+    def test_a_side_past_the_exp_range_names_its_half_width(self, tmp_path):
+        # the call strikes' e^u overflows past half_width 709.78, the put weights' e^(-u/2) past
+        # 1419.56; below those cuts a side resolves
+        below = replication.StrikeGrid(1000.0, 709.0, 64, 1e-5)
+        assert below.call_strikes[-1] == pytest.approx(1000.0 * math.exp(709.0), rel=1e-14)
+        for half_width, failing in ((710.0, ("call_strikes", "call_weights")),
+                                    (1420.0, ("put_strikes", "put_weights", "call_strikes",
+                                              "call_weights"))):
+            grid = replication.StrikeGrid(1000.0, half_width, 64, 1e-5)
+            named = re.escape(f"half_width={half_width!r}")
+            for name in failing:
+                with pytest.raises(DomainError, match=named):
+                    getattr(grid, name)
+            with pytest.raises(DomainError, match=named):
+                replicate_il_payoff(grid, 1000.0)
+            with pytest.raises(DomainError, match=named):
+                write_grid_csv(grid, tmp_path / "grid.csv")
+        assert replication.StrikeGrid(1000.0, 710.0, 64, 1e-5).put_strikes[0] == (
+            1000.0 * math.exp(-710.0))
+
     def test_hand_built_grid_of_fewest_nodes_builds(self):
         grid = replication.StrikeGrid(1000.0, 5.0, 2, 0.0)
         assert grid.n_strikes == 5 and grid.put_strikes[-1] == grid.call_strikes[0] == 1000.0

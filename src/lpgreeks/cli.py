@@ -9,6 +9,7 @@ non-finite result).
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -248,7 +249,15 @@ def cmd_verify(scenario: ScenarioConfig, out_path: Optional[str],
 
 
 def main() -> None:
-    cli(prog_name="lpgreeks")
+    """The console script's and `python -m lpgreeks.cli`'s entry point. Its process runs one
+    command and exits, so the cyclic collector stays off for the command and the heap is frozen
+    before the interpreter's teardown, whose full collections then skip it. The cli group, which
+    CliRunner and library callers invoke, leaves the collector as it finds it."""
+    gc.disable()
+    try:
+        cli(prog_name="lpgreeks")
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -17,14 +17,15 @@ shipped closed forms themselves (pricing.lp_premium and pricing.ig_premium).
 PRNG: Philox 4x64 (10 rounds) as implemented by numpy.random.Philox, keyed by
 the seed. numpy guarantees stream stability for a released BitGenerator.
 numpy, Philox and scipy.special.ndtri are imported on the first draw, not with
-the module, so a caller that only reads McConfig loads neither library.
+the module, so a caller that only reads McConfig loads neither library; the
+thread pool (concurrent.futures, with the logging it imports) is imported only
+by an mc_price call that starts one, at workers > 1 over more than one chunk.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -236,6 +237,7 @@ def mc_price(payoff: str | Sequence[str], scenario: McScenario | Sequence[McScen
     if cfg.workers == 1 or len(spans) == 1:
         rows = list(map(stats, spans))
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(stats, spans))
     estimates = []

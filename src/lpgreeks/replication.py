@@ -15,9 +15,11 @@ payoff strip is tuples of floats, and math.fsum adds both sums, so results are b
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 from .errors import DomainError, require_finite, require_non_negative, require_positive
 from .pricing import IgContract, MarketParams, _factors, forward_price
@@ -84,16 +86,25 @@ class StrikeGrid:
         if not 0.0 <= self.price_tol < math.inf:
             raise DomainError(f"price_tol must be finite and >= 0, got {self.price_tol!r}")
 
-    def _entry_side(self, calls: bool) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    def _entry_side(self, calls: bool, in_the_money_at: Optional[float] = None
+                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """(strikes, weights) of the puts or the calls resolved at the entry price, at the nodes
         u = half_width*i/n_side, i = -n_side..0 or 0..n_side: a strike is K0*e^u, and a weight
         coeff*h/(4*sqrt(K*K0)) is formed as coeff*h*e^(-u/2)/(4*K0), with coeff 1/2 at both ends
-        of the side (the entry price and the outer cut) and 1 between them. A DomainError where
+        of the side (the entry price and the outer cut) and 1 between them. Given a terminal
+        price, only the nodes in the money there: puts struck above it, calls below it, found by
+        bisecting the computed strikes, which rise with i. A DomainError where the outer node's
         e^u (calls, half_width past 709.78) or e^(-u/2) (puts, past 1419.56) overflows."""
         n, h, k0 = self.n_side, self.log_step, self.entry_price
         steps = range(n + 1) if calls else range(-n, 1)
-        nodes = [self.half_width * (i / n) for i in steps]
         try:
+            # the outer node's e^u or e^(-u/2), the largest of the side
+            math.exp(self.half_width if calls else 0.5 * self.half_width)
+            if in_the_money_at is not None:
+                strike = lambda i: k0 * math.exp(self.half_width * (i / n))
+                steps = (steps[:bisect.bisect_left(steps, in_the_money_at, key=strike)] if calls
+                         else steps[bisect.bisect_right(steps, in_the_money_at, key=strike):])
+            nodes = [self.half_width * (i / n) for i in steps]
             weights = tuple((0.5 if i % n == 0 else 1.0) * h * math.exp(-0.5 * u) / (4.0 * k0)
                             for i, u in zip(steps, nodes))
             return tuple(k0 * math.exp(u) for u in nodes), weights
@@ -160,12 +171,13 @@ def replicate_il_payoff(grid: StrikeGrid, s_terminal: float) -> float:
     the price reconstructs the payoff coarsely: take dataclasses.replace(grid, n_side=n) with a
     finer n, or hand-build a StrikeGrid with the half width the payoff's range needs (2048 nodes
     over e^(+-4.76) meet 1e-5 from 0.1 to 10 times the entry price). Both legs are added by one
-    math.fsum, exactly rounded, as the strip price is."""
+    math.fsum, exactly rounded, as the strip price is; an out-of-the-money node would add an exact
+    0.0, so only the nodes in the money are built."""
     require_positive("s_terminal", s_terminal)
-    put_strikes, put_weights = grid._entry_side(calls=False)
-    call_strikes, call_weights = grid._entry_side(calls=True)
-    return -math.fsum([*(max(k - s_terminal, 0.0) * w for k, w in zip(put_strikes, put_weights)),
-                       *(max(s_terminal - k, 0.0) * w for k, w in zip(call_strikes, call_weights))])
+    put_strikes, put_weights = grid._entry_side(calls=False, in_the_money_at=s_terminal)
+    call_strikes, call_weights = grid._entry_side(calls=True, in_the_money_at=s_terminal)
+    return -math.fsum([*((k - s_terminal) * w for k, w in zip(put_strikes, put_weights)),
+                       *((s_terminal - k) * w for k, w in zip(call_strikes, call_weights))])
 
 
 def _lognormal(s_t: float, market: MarketParams, tau: float) -> tuple[float, float, float]:

@@ -1,3 +1,4 @@
+import gc
 import json
 import runpy
 import sys
@@ -670,6 +671,16 @@ _RERUN_WARNING = pytest.mark.filterwarnings(
 
 
 class TestEntryPoints:
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        # main() leaves the collector off and the heap frozen, as a one-command process wants;
+        # this process runs on and gets both back
+        enabled = gc.isenabled()
+        yield
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
     @_RERUN_WARNING
     @_ENTRY_POINTS
     def test_entry_point_runs_the_group(self, run, monkeypatch, capsys):

@@ -1,7 +1,8 @@
 """The package surface: `import lpgreeks` loads nothing, each exported name
 imports its module on first use, and only the Monte Carlo engine imports numpy
 or SciPy, on its first draw, so a cold CLI command other than verify loads
-neither."""
+neither. Only a threaded mc_price imports the thread pool, and only the CLI's
+process entry point switches the cyclic collector off."""
 
 import ast
 import importlib
@@ -74,14 +75,36 @@ def libraries():
     return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 """
 
+# Records the module of every import statement that names concurrent.futures, loaded or not,
+# and reads the cyclic collector's state.
+_WATCH = """
+import builtins, gc
+
+pool_importers = []
+_import = builtins.__import__
+
+def _watching_import(name, globals=None, *args, **kwargs):
+    if name == "concurrent.futures":
+        pool_importers.append((globals or {}).get("__name__", "?"))
+    return _import(name, globals, *args, **kwargs)
+
+builtins.__import__ = _watching_import
+
+def pool():
+    return ["concurrent.futures" in sys.modules, sorted(set(pool_importers))]
+
+def collector():
+    return [gc.isenabled(), gc.get_freeze_count()]
+"""
+
 # Runs each command on the config sys.argv[1], writing the figure under sys.argv[2], through
 # cli.main as the console script does, and prints the libraries held after the import and, with
-# its exit code, after each command.
-_CLI_PROBE = _LIBRARIES + """
+# its exit code, after each command, and the thread pool and collector state at each step.
+_CLI_PROBE = _LIBRARIES + _WATCH + """
 import lpgreeks.cli as cli
 
 config, out = sys.argv[1:]
-seen = {"import": libraries()}
+seen = {"import": libraries(), "pool": {"import": pool()}, "collector": {"import": collector()}}
 for command in (["price", "--strategy", "ig"], ["greeks", "--strategy", "locked-lp"], ["hedge"],
                 ["table"], ["figure", "--figure", "lp-price", "--out", out + "/lp-price.csv"],
                 ["verify", "--paths", "2000"]):
@@ -90,6 +113,30 @@ for command in (["price", "--strategy", "ig"], ["greeks", "--strategy", "locked-
         cli.main()
     except SystemExit as done:
         seen[command[0]] = [done.code, libraries()]
+        seen["pool"][command[0]] = pool()
+        seen["collector"][command[0]] = collector()
+print(json.dumps(seen))
+"""
+
+# Imports the CLI, runs price on the config sys.argv[1] through CliRunner, then one mc_price of
+# three chunks at workers 1 and at 2, and prints the collector state after each step, with the
+# importers of the thread pool and the estimate's bits after each mc_price.
+_LIBRARY_PROBE = _LIBRARIES + _WATCH + """
+from click.testing import CliRunner
+
+import lpgreeks.cli as cli
+from lpgreeks import mc
+from lpgreeks.pricing import MarketParams
+
+seen = {"import": collector()}
+result = CliRunner().invoke(cli.cli, ["price", "--config", sys.argv[1], "--strategy", "ig"])
+seen["runner"] = [result.exit_code, *collector()]
+scenario = mc.McScenario(MarketParams.from_rate_differential(0.02, 0.7, 0.1), 1000.0, 1.0)
+for workers in (1, 2):
+    config = mc.McConfig(n_paths=2 * mc._CHUNK + 1, seed=7, workers=workers)
+    estimate = mc.mc_price("sqrt_moment", scenario, config)
+    seen[workers] = {"collector": collector(), "importers": pool()[1],
+                     "bits": [estimate.mean.hex(), estimate.std_error.hex()]}
 print(json.dumps(seen))
 """
 
@@ -160,6 +207,7 @@ FIRST_DRAWS = {
     "_stream_uniforms": "mc._stream_uniforms(42, 256, 500).tolist()",
 }
 SRC = Path(lpgreeks.__file__).resolve().parents[1]
+CONFIG = SRC.parent / "configs" / "hedged-one-year.json"
 
 
 def _run(code: str, *args: str):
@@ -172,6 +220,16 @@ def _run(code: str, *args: str):
 @pytest.fixture(scope="module")
 def probe():
     return _run(_PROBE)
+
+
+@pytest.fixture(scope="module")
+def cli_probe(tmp_path_factory):
+    return _run(_CLI_PROBE, str(CONFIG), str(tmp_path_factory.mktemp("figure")))
+
+
+@pytest.fixture(scope="module")
+def library_probe():
+    return _run(_LIBRARY_PROBE, str(CONFIG))
 
 
 def test_import_loads_no_submodule_numpy_or_scipy(probe):
@@ -232,13 +290,39 @@ def test_only_mc_imports_numpy_or_scipy():
     assert set(importers) == {"mc.py"}, importers
 
 
-def test_cold_commands_but_verify_load_neither_numpy_nor_scipy(tmp_path):
-    seen = _run(_CLI_PROBE, str(SRC.parent / "configs" / "hedged-one-year.json"), str(tmp_path))
-    assert seen["import"] == []
+def test_cold_commands_but_verify_load_neither_numpy_nor_scipy(cli_probe):
+    assert cli_probe["import"] == []
     for command in ("price", "greeks", "hedge", "table", "figure"):
-        assert seen[command] == [0, []], command
-    code, libraries = seen["verify"]
+        assert cli_probe[command] == [0, []], command
+    code, libraries = cli_probe["verify"]
     assert code == 0 and {"numpy", "scipy", "scipy.special"} <= set(libraries)
+
+
+def test_a_cli_process_runs_its_command_with_the_collector_off_and_frozen(cli_probe):
+    assert cli_probe["collector"]["import"] == [True, 0]
+    enabled, frozen = cli_probe["collector"]["price"]
+    assert not enabled and frozen > 0
+
+
+def test_library_calls_leave_the_collector_on_and_nothing_frozen(library_probe):
+    assert library_probe["import"] == [True, 0]
+    assert library_probe["runner"] == [0, True, 0]
+    for workers in ("1", "2"):
+        assert library_probe[workers]["collector"] == [True, 0], workers
+
+
+def test_cold_commands_import_no_thread_pool(cli_probe):
+    for step in ("import", "price", "greeks", "hedge", "table", "figure"):
+        assert cli_probe["pool"][step] == [False, []], step
+    # verify at workers 1 starts no pool: concurrent.futures, if loaded, came with the draw
+    # layer (scipy.special imports numpy.testing, which imports it), not from lpgreeks
+    assert not any(name.startswith("lpgreeks") for name in cli_probe["pool"]["verify"][1])
+
+
+def test_only_a_threaded_mc_price_imports_the_thread_pool(library_probe):
+    assert "lpgreeks.mc" not in library_probe["1"]["importers"]
+    assert "lpgreeks.mc" in library_probe["2"]["importers"]
+    assert library_probe["1"]["bits"] == library_probe["2"]["bits"]
 
 
 def test_mc_resolves_its_draw_layer_on_first_read():

@@ -327,6 +327,17 @@ class TestNestedRefinement:
                 assert single.hex() == _one_price_reconstruction(grid, s_terminal).hex()
         assert pinned >= 400
 
+    def test_a_terminal_price_on_or_beside_a_node_keeps_the_full_sums_bits(self):
+        # only the nodes in the money are summed; at a node's strike, or one ulp either side of
+        # it, each node must still fall on the side the full sum puts it
+        rng = random.Random(20261020)
+        for _ in range(300):
+            grid = _fuzz_grid(*_fuzz_case(rng))
+            for k in rng.sample(grid.put_strikes + grid.call_strikes, 3):
+                for s_terminal in (math.nextafter(k, 0.0), k, math.nextafter(k, math.inf)):
+                    assert replicate_il_payoff(grid, s_terminal).hex() == (
+                        _one_price_reconstruction(grid, s_terminal).hex())
+
     def test_fuzzed_grids_take_the_smallest_rule_level(self):
         rng = random.Random(20261019)
         chosen = dict.fromkeys((3, 4, 5, 6, 7), 0)  # target_tol from 1e-2 to 1e-7

@@ -268,8 +268,7 @@ def greeks_table(lp: LpState, ig: IgContract, s_t: float) -> GreeksTable:
     if ig.notional_v0 != lp.position.notional_v0:
         raise DomainError(f"notionals differ: contract {ig.notional_v0!r} "
                           f"vs position {lp.position.notional_v0!r}")
-    beta, gamma_disc, _ = _factors(lp.market, lp.tau)
+    factors = _factors(lp.market, lp.tau)
     return GreeksTable(unlocked=greeks_unlocked_lp(replace(lp, locked=False, s_t=s_t)),
-                       locked=greeks_locked_lp(replace(lp, locked=True, s_t=s_t)),
-                       ig=greeks_ig(ig, s_t, lp.market),
-                       beta=beta, gamma_disc=gamma_disc, s_t=s_t)
+                       locked=_locked_lp(lp, s_t, factors), ig=greeks_ig(ig, s_t, lp.market),
+                       beta=factors[0], gamma_disc=factors[1], s_t=s_t)

@@ -15,11 +15,11 @@ payoff strip is tuples of floats, and math.fsum adds both sums, so results are b
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
-from typing import Optional
+from typing import Iterator
 
 from .errors import DomainError, require_finite, require_non_negative, require_positive
 from .pricing import IgContract, MarketParams, _factors, forward_price
@@ -86,31 +86,29 @@ class StrikeGrid:
         if not 0.0 <= self.price_tol < math.inf:
             raise DomainError(f"price_tol must be finite and >= 0, got {self.price_tol!r}")
 
-    def _entry_side(self, calls: bool, in_the_money_at: Optional[float] = None
-                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(strikes, weights) of the puts or the calls resolved at the entry price, at the nodes
-        u = half_width*i/n_side, i = -n_side..0 or 0..n_side: a strike is K0*e^u, and a weight
-        coeff*h/(4*sqrt(K*K0)) is formed as coeff*h*e^(-u/2)/(4*K0), with coeff 1/2 at both ends
-        of the side (the entry price and the outer cut) and 1 between them. Given a terminal
-        price, only the nodes in the money there: puts struck above it, calls below it, found by
-        bisecting the computed strikes, which rise with i. A DomainError where the outer node's
-        e^u (calls, half_width past 709.78) or e^(-u/2) (puts, past 1419.56) overflows."""
-        n, h, k0 = self.n_side, self.log_step, self.entry_price
-        steps = range(n + 1) if calls else range(-n, 1)
-        try:
-            # the outer node's e^u or e^(-u/2), the largest of the side
+    def _payoff_nodes(self, calls: bool) -> Iterator[tuple[float, float]]:
+        """(strike, weight) of the puts or the calls resolved at the entry price, walking out from
+        it over the nodes u = half_width*(+-i/n_side), i = 0..n_side: a strike is K0*e^u, and a
+        weight coeff*h/(4*sqrt(K*K0)) is formed as coeff*h*e^(-u/2)/(4*K0), coeff 1/2 at both ends
+        and 1 between. |u| rises with i and e^u is monotone, so the strikes move away from K0 and
+        the nodes in the money at a terminal price (puts above it, calls below it) are the side's
+        inner run. A DomainError first where the outer node's e^u (calls, half_width past 709.78)
+        or e^(-u/2) (puts, past 1419.56) overflows."""
+        try:  # the outer node's e^u or e^(-u/2), the largest of the side
             math.exp(self.half_width if calls else 0.5 * self.half_width)
-            if in_the_money_at is not None:
-                strike = lambda i: k0 * math.exp(self.half_width * (i / n))
-                steps = (steps[:bisect.bisect_left(steps, in_the_money_at, key=strike)] if calls
-                         else steps[bisect.bisect_right(steps, in_the_money_at, key=strike):])
-            nodes = [self.half_width * (i / n) for i in steps]
-            weights = tuple((0.5 if i % n == 0 else 1.0) * h * math.exp(-0.5 * u) / (4.0 * k0)
-                            for i, u in zip(steps, nodes))
-            return tuple(k0 * math.exp(u) for u in nodes), weights
         except OverflowError:
             raise DomainError(f"the {'call' if calls else 'put'} side's outer node overflows "
                               f"math.exp at half_width={self.half_width!r}") from None
+        n, h, k0 = self.n_side, self.log_step, self.entry_price
+        for i in range(n + 1) if calls else range(0, -n - 1, -1):
+            u = self.half_width * (i / n)
+            weight = (0.5 if i % n == 0 else 1.0) * h * math.exp(-0.5 * u) / (4.0 * k0)
+            yield k0 * math.exp(u), weight
+
+    def _entry_side(self, calls: bool) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(strikes, weights) of one side in ascending strike order: the puts' walk reversed."""
+        nodes = list(self._payoff_nodes(calls))
+        return tuple(zip(*(nodes if calls else reversed(nodes))))
 
     put_strikes = property(lambda self: self._entry_side(calls=False)[0])
     put_weights = property(lambda self: self._entry_side(calls=False)[1])
@@ -171,13 +169,14 @@ def replicate_il_payoff(grid: StrikeGrid, s_terminal: float) -> float:
     the price reconstructs the payoff coarsely: take dataclasses.replace(grid, n_side=n) with a
     finer n, or hand-build a StrikeGrid with the half width the payoff's range needs (2048 nodes
     over e^(+-4.76) meet 1e-5 from 0.1 to 10 times the entry price). Both legs are added by one
-    math.fsum, exactly rounded, as the strip price is; an out-of-the-money node would add an exact
-    0.0, so only the nodes in the money are built."""
+    math.fsum, exactly rounded, as the strip price is, so term order is free; an out-of-the-money
+    node would add an exact 0.0, so each side is walked out from the entry price only while its
+    nodes are in the money (its inner run, see StrikeGrid._payoff_nodes)."""
     require_positive("s_terminal", s_terminal)
-    put_strikes, put_weights = grid._entry_side(calls=False, in_the_money_at=s_terminal)
-    call_strikes, call_weights = grid._entry_side(calls=True, in_the_money_at=s_terminal)
-    return -math.fsum([*((k - s_terminal) * w for k, w in zip(put_strikes, put_weights)),
-                       *((s_terminal - k) * w for k, w in zip(call_strikes, call_weights))])
+    puts = takewhile(lambda node: node[0] > s_terminal, grid._payoff_nodes(calls=False))
+    calls = takewhile(lambda node: node[0] < s_terminal, grid._payoff_nodes(calls=True))
+    return -math.fsum([*((k - s_terminal) * w for k, w in puts),
+                       *((s_terminal - k) * w for k, w in calls)])
 
 
 def _lognormal(s_t: float, market: MarketParams, tau: float) -> tuple[float, float, float]:
@@ -258,7 +257,6 @@ def price_ig_via_strip(contract: IgContract, s_t: float, market: MarketParams,
     g(F) = (1 - sqrt(F/K0))**2/2. Of the grid the price reads only its log step, half width and
     node count, never its entry price, so a grid built at another strike gives the same bits.
     """
-    require_positive("s_t", s_t)
     x = 0.25 * grid.log_step
     forward, disc, vol = _lognormal(s_t, market, contract.tau)
     n, values = grid.n_side, []

@@ -329,14 +329,21 @@ class TestNestedRefinement:
 
     def test_a_terminal_price_on_or_beside_a_node_keeps_the_full_sums_bits(self):
         # only the nodes in the money are summed; at a node's strike, or one ulp either side of
-        # it, each node must still fall on the side the full sum puts it
-        rng = random.Random(20261020)
-        for _ in range(300):
-            grid = _fuzz_grid(*_fuzz_case(rng))
-            for k in rng.sample(grid.put_strikes + grid.call_strikes, 3):
+        # it, each node must still fall on the side the full sum puts it: three sampled nodes and
+        # the entry price, where both sides start, on 300 fuzzed grids, and every node of a
+        # grid of the fewest nodes
+        def check(grid, strikes):
+            for k in strikes:
                 for s_terminal in (math.nextafter(k, 0.0), k, math.nextafter(k, math.inf)):
                     assert replicate_il_payoff(grid, s_terminal).hex() == (
                         _one_price_reconstruction(grid, s_terminal).hex())
+
+        rng = random.Random(20261020)
+        for _ in range(300):
+            grid = _fuzz_grid(*_fuzz_case(rng))
+            check(grid, rng.sample(grid.put_strikes + grid.call_strikes, 3) + [grid.entry_price])
+        fewest = replication.StrikeGrid(1000.0, 5.0, 2, 0.0)
+        check(fewest, fewest.put_strikes + fewest.call_strikes)
 
     def test_fuzzed_grids_take_the_smallest_rule_level(self):
         rng = random.Random(20261019)
@@ -694,6 +701,30 @@ class TestStripPricing:
             price_ig_via_strip(contract, 1e150, market, grid)
         with pytest.raises(DomainError, match="strip error bound must be finite, got inf"):
             strip_price_error_bound(contract, 1e150, market, grid)
+
+    def test_a_bad_spot_gets_the_forwards_message(self, week_setup):
+        # the strip price and its bound check the spot only in forward_price, through _lognormal;
+        # vanilla_price checks it, and tau, itself with the same messages
+        market, contract, grid = week_setup
+        pricers = (lambda s: price_ig_via_strip(contract, s, market, grid),
+                   lambda s: strip_price_error_bound(contract, s, market, grid),
+                   lambda s: vanilla_price(1000.0, s, market, contract.tau, "call"),
+                   lambda s: vanilla_price(1000.0, s, market, contract.tau, "put"))
+        for spot in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError) as forward:
+                forward_price(spot, market, contract.tau)
+            assert str(forward.value) == f"s_t must be positive and finite, got {spot!r}"
+            for pricer in pricers:
+                with pytest.raises(DomainError) as excinfo:
+                    pricer(spot)
+                assert str(excinfo.value) == str(forward.value)
+        with pytest.raises(DomainError) as forward:
+            forward_price(1000.0, market, -1.0)
+        for kind in ("call", "put"):
+            with pytest.raises(DomainError) as excinfo:
+                vanilla_price(1000.0, 1000.0, market, -1.0, kind)
+            assert str(excinfo.value) == str(forward.value)
+        assert str(forward.value) == "tau must be >= 0 and finite, got -1.0"
 
     def test_grid_built_at_another_strike_gives_the_same_bits(self, week_setup):
         # the strip is spanned at the forward, so the grid's entry price never enters the price

@@ -25,7 +25,7 @@ from .errors import DomainError, require_finite, require_non_negative, require_p
 from .pricing import IgContract, MarketParams, _factors, forward_price
 
 # nodes per side a grid may hold: bounds one strip price's scalar loop (n_side + 1 Black values,
-# seconds at the cap) and each payoff strike or weight tuple (2M floats, about 64 MB, at the cap)
+# seconds at the cap) and each payoff side property (at the cap it keeps 64 MiB, peaking at 80)
 _N_MAX = 1 << 21
 _SQRT2 = math.sqrt(2.0)
 # the strip price's tolerance where none is given: build_strike_grid's, and verify's by default
@@ -69,8 +69,8 @@ class StrikeGrid:
     put_strikes, put_weights, call_strikes and call_weights resolve the strip at the entry price,
     the F = K0 case, with the entry price on both sides at a half weight: puts from
     entry_price*e^-half_width up to it and calls from it up to entry_price*e^+half_width. Each
-    is a tuple of n_side + 1 floats, built on access. A weight is coeff*h*K*|g''(K)| =
-    coeff*h/(4*sqrt(K*K0)), so a strip value is the sum of weight * option value over the nodes.
+    is a tuple of n_side + 1 floats, built on access from its own field of the walk alone. A
+    weight is coeff*h*K*|g''(K)| = coeff*h/(4*sqrt(K*K0)): a strip value is sum(weight * value).
     """
 
     entry_price: float
@@ -105,15 +105,16 @@ class StrikeGrid:
             weight = (0.5 if i % n == 0 else 1.0) * h * math.exp(-0.5 * u) / (4.0 * k0)
             yield k0 * math.exp(u), weight
 
-    def _entry_side(self, calls: bool) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(strikes, weights) of one side in ascending strike order: the puts' walk reversed."""
-        nodes = list(self._payoff_nodes(calls))
-        return tuple(zip(*(nodes if calls else reversed(nodes))))
+    def _entry_side(self, calls: bool, field: int) -> tuple[float, ...]:
+        """The strikes (field 0) or the weights (field 1) of one side in ascending strike order:
+        that field alone, taken from the walk node by node, and reversed for the puts."""
+        side = tuple(node[field] for node in self._payoff_nodes(calls))
+        return side if calls else side[::-1]
 
-    put_strikes = property(lambda self: self._entry_side(calls=False)[0])
-    put_weights = property(lambda self: self._entry_side(calls=False)[1])
-    call_strikes = property(lambda self: self._entry_side(calls=True)[0])
-    call_weights = property(lambda self: self._entry_side(calls=True)[1])
+    put_strikes = property(lambda self: self._entry_side(False, 0))
+    put_weights = property(lambda self: self._entry_side(False, 1))
+    call_strikes = property(lambda self: self._entry_side(True, 0))
+    call_weights = property(lambda self: self._entry_side(True, 1))
 
     @property
     def log_step(self) -> float:
@@ -208,14 +209,12 @@ def vanilla_price(strike: float, s_t: float, market: MarketParams, tau: float,
                   kind: str) -> VanillaQuote:
     """Single-strike European premium under the same dynamics as the closed forms: the discounted
     Black value at the forward, priced by the strip's own Black value. A forward/strike ratio that
-    underflows to 0 takes log_moneyness -inf, so the premium is discounted intrinsic value there;
-    a DomainError where the premium is not finite."""
+    underflows to 0 takes log_moneyness -inf (discounted intrinsic value); a DomainError where the
+    premium is not finite. Checks run on strike, forward_price's s_t and tau, then kind."""
     require_positive("strike", strike)
-    require_positive("s_t", s_t)
-    require_non_negative("tau", tau)
+    forward, disc, vol = _lognormal(s_t, market, tau)
     if kind not in ("put", "call"):
         raise DomainError(f"kind must be 'put' or 'call', got {kind!r}")
-    forward, disc, vol = _lognormal(s_t, market, tau)
     ratio = forward / strike
     log_moneyness = math.log(ratio) if ratio > 0.0 else -math.inf
     undiscounted = _black(log_moneyness, vol, 1.0 if kind == "call" else -1.0, forward, strike)
@@ -305,9 +304,9 @@ def strip_price_error_bound(contract: IgContract, s_t: float, market: MarketPara
 def write_grid_csv(grid: StrikeGrid, path) -> None:
     """Audit dump of the payoff strip resolved at the entry price, as replicate_il_payoff uses
     it, not the forward-centred strikes the price sums: one row per strike with its folded
-    weight and option kind, the entry price once on each side."""
+    weight and option kind, the entry price once on each side, read off the four public sides."""
     lines = ["strike,weight,kind"]
-    for kind in ("put", "call"):
-        strikes, weights = grid._entry_side(calls=kind == "call")
+    for kind, strikes, weights in (("put", grid.put_strikes, grid.put_weights),
+                                   ("call", grid.call_strikes, grid.call_weights)):
         lines += [f"{strike:.17g},{weight:.17g},{kind}" for strike, weight in zip(strikes, weights)]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -235,6 +236,23 @@ class TestGridConstruction:
         with pytest.raises(FrozenInstanceError):
             grid.n_side = 128
 
+    def test_a_side_property_builds_its_own_field_alone(self):
+        # each side property takes its field from the walk node by node and holds no other copy
+        # of the side: at 2**14 nodes per side its tracemalloc peak stays within twice what the
+        # tuple it returns keeps, the puts' reversal included
+        grid = dataclasses.replace(build_strike_grid(1000.0, 0.7, 1.0), n_side=1 << 14)
+        for name in ("put_strikes", "put_weights", "call_strikes", "call_weights"):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                side = getattr(grid, name)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(side) == grid.n_side + 1, name
+            assert peak - before <= 2 * (kept - before), (name, peak - before, kept - before)
+
     def test_a_side_past_the_exp_range_names_its_half_width(self, tmp_path):
         # the call strikes' e^u overflows past half_width 709.78, the put weights' e^(-u/2) past
         # 1419.56; below those cuts a side resolves
@@ -317,6 +335,9 @@ class TestNestedRefinement:
                 coeff[0] = coeff[-1] = 0.5 * grid.log_step
                 want = [c / (4.0 * math.sqrt(math.exp(x)) * s0) for c, x in zip(coeff, u)]
                 assert all(abs(w - ref) <= 1e-14 * ref for w, ref in zip(weights, want, strict=True))
+                # and by bits, the walk's own expression coeff*h*e^(-u/2)/(4*K0)
+                assert [w.hex() for w in weights] == [
+                    (c * math.exp(-x / 2.0) / (4.0 * s0)).hex() for c, x in zip(coeff, u)]
 
             assert grid.price_tol == target_tol
 
@@ -703,8 +724,8 @@ class TestStripPricing:
             strip_price_error_bound(contract, 1e150, market, grid)
 
     def test_a_bad_spot_gets_the_forwards_message(self, week_setup):
-        # the strip price and its bound check the spot only in forward_price, through _lognormal;
-        # vanilla_price checks it, and tau, itself with the same messages
+        # the strip price, its bound and vanilla_price check the spot, and vanilla_price the tau,
+        # only in forward_price, through _lognormal
         market, contract, grid = week_setup
         pricers = (lambda s: price_ig_via_strip(contract, s, market, grid),
                    lambda s: strip_price_error_bound(contract, s, market, grid),
@@ -725,6 +746,16 @@ class TestStripPricing:
                 vanilla_price(1000.0, 1000.0, market, -1.0, kind)
             assert str(excinfo.value) == str(forward.value)
         assert str(forward.value) == "tau must be >= 0 and finite, got -1.0"
+        # vanilla_price names the first bad argument of strike, s_t, tau and kind; an overflowing
+        # forward is reported before an unknown kind
+        for args, first in (((0.0, -1.0, market, -1.0, "straddle"), "strike must"),
+                            ((1000.0, -1.0, market, -1.0, "straddle"), "s_t must"),
+                            ((1000.0, 1000.0, market, -1.0, "straddle"), "tau must"),
+                            ((1000.0, 1000.0, market, 1.0, "straddle"), "kind must"),
+                            ((1000.0, 1000.0, MarketParams.from_rate_differential(1e3, 0.7, 0.0),
+                              1.0, "straddle"), re.escape("forward exp(r_f*tau) overflow"))):
+            with pytest.raises(DomainError, match=f"^{first}"):
+                vanilla_price(*args)
 
     def test_grid_built_at_another_strike_gives_the_same_bits(self, week_setup):
         # the strip is spanned at the forward, so the grid's entry price never enters the price

@@ -13,7 +13,12 @@ run sees the committed tree only and leaves nothing registered in the repository
 greeks.*, replication.* and trace.* metrics. The output has the layout of the earlier
 BENCH_*.json records: per workload and end-to-end metric the median, quartiles
 (statistics.quantiles, inclusive), min and max of each side, the pairs in which the change read
-lower, and every run's numbers, with the machine the runs took place on. Standard library only.
+lower, the no-regression verdict, and every run's numbers, with the machine the runs took place
+on. The end-to-end metrics, which way is better and each one's bound are read from
+BENCHMARK.json. The verdict is "unresolved" when the parent's IQR exceeds the bound times its
+median and not every change run beats every parent run; otherwise "worse beyond bound" when
+the change's median is worse than the parent's by more than the bound times the parent's
+median, and "within bound" if not. Standard library only.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-END_TO_END = ("op_a_ms", "op_b_ms", "setup_s", "peak_rss_mb")
+BENCHMARK = ROOT / "BENCHMARK.json"
 TRACED_PREFIXES = ("pricing.", "greeks.", "replication.", "trace.")
 RUN_TIMEOUT_S = 900.0
 
@@ -78,9 +83,27 @@ def _spread(values: list[float]) -> dict:
             "max": max(values), "n": len(values)}
 
 
-def _summary(runs: list[dict]) -> dict:
+def _end_to_end(path: Path = BENCHMARK) -> dict[str, tuple[str, float]]:
+    """End-to-end metric name -> (better, bound), as the benchmark declares them."""
+    return {metric["name"]: (metric["better"], metric["bound"])
+            for metric in json.loads(path.read_text())["end_to_end"]}
+
+
+def _verdict(parent: dict, change: dict, better: str, bound: float) -> str:
+    """One metric's no-regression verdict from the _spread of each side, by the rule above."""
+    scale = bound * abs(parent["median"])
+    if better == "lower":
+        worse, beaten = change["median"] - parent["median"], change["max"] < parent["min"]
+    else:
+        worse, beaten = parent["median"] - change["median"], change["min"] > parent["max"]
+    if parent["iqr"] > scale and not beaten:
+        return "unresolved"
+    return "worse beyond bound" if worse > scale else "within bound"
+
+
+def _summary(runs: list[dict], end_to_end: dict[str, tuple[str, float]]) -> dict:
     summary = {}
-    for name in END_TO_END:
+    for name, (better, bound) in end_to_end.items():
         pairs = [(run["parent"][name], run["change"][name]) for run in runs
                  if name in run["parent"] and name in run["change"]]
         if not pairs:
@@ -92,6 +115,8 @@ def _summary(runs: list[dict]) -> dict:
             "change_lower_in_pairs": f"{lower}/{len(pairs)}",
             "median_change_pct": 100.0 * (change["median"] / parent["median"] - 1.0)
             if parent["median"] else None,
+            "bound": bound,
+            "verdict": _verdict(parent, change, better, bound),
         }
     return summary
 
@@ -133,6 +158,7 @@ def main() -> int:
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD:SEED",
                         type=lambda text: _spec(text, 2))
     args = parser.parse_args()
+    end_to_end = _end_to_end()
 
     revs = {side: _git("rev-parse", rev).decode().strip()
             for side, rev in (("parent", args.parent), ("change", args.change))}
@@ -159,7 +185,7 @@ def main() -> int:
                            for side in sides}
                 runs.append({
                     "pair": pair, "first": sides[0],
-                    **{side: _metrics(results[side], END_TO_END) for side in revs},
+                    **{side: _metrics(results[side], end_to_end) for side in revs},
                     **{key: {side: results[side][key] for side in revs}
                        for key in ("failed", "attempted", "correct")},
                 })
@@ -168,7 +194,7 @@ def main() -> int:
                     f"op_b_ms {runs[-1][side].get('op_b_ms')}" for side in revs),
                     file=sys.stderr, flush=True)
             record["workloads"][f"{workload}@{seed}"] = {
-                "seed": seed, "summary": _summary(runs), "runs": runs}
+                "seed": seed, "summary": _summary(runs, end_to_end), "runs": runs}
         for workload, seed in args.traced:
             traced = {"how": f"python3 benchmarks/run.py --workload {workload} --seed {seed} "
                              f"--seconds {args.seconds:g} --trace 1; one run per side, parent "

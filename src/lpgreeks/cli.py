@@ -37,12 +37,6 @@ from .verify import _g17, run_verification, write_report
 _FIGURE_POINTS = 201
 
 
-def _locked_state(scenario: ScenarioConfig, user: str):
-    if not scenario.position.locked:
-        raise ConfigError(f"{user} needs a locked position: position.locked is false")
-    return scenario.lp_state()
-
-
 # every command's --config PATH, passed on as the parsed scenario; the callback looks
 # load_config up at call time, so a wrapper installed over it (a tracer) still sees each load
 _config_option = click.option("--config", "scenario", required=True,
@@ -62,8 +56,8 @@ STRATEGIES: dict[str, tuple[Callable, Callable, Callable]] = {
     "unlocked-lp": (lambda s: price_unlocked_lp(replace(s.lp_state(), locked=False)),
                     lambda s: greeks_unlocked_lp(replace(s.lp_state(), locked=False)),
                     lambda s: 0.0),
-    "locked-lp": (lambda s: price_locked_lp(_locked_state(s, "--strategy locked-lp")),
-                  lambda s: greeks_locked_lp(_locked_state(s, "--strategy locked-lp")),
+    "locked-lp": (lambda s: price_locked_lp(s.locked_state("--strategy locked-lp")),
+                  lambda s: greeks_locked_lp(s.locked_state("--strategy locked-lp")),
                   lambda s: s.lp_state().tau),
     "ig": (lambda s: price_ig(s.ig_contract(), s.spot, s.market),
            lambda s: greeks_ig(s.ig_contract(), s.spot, s.market),
@@ -156,7 +150,7 @@ def cmd_greeks(scenario: ScenarioConfig, strategy: str, out_path: Optional[str])
               help="Also write the table as CSV to this path.")
 def cmd_table(scenario: ScenarioConfig, out_path: Optional[str]) -> None:
     """Side-by-side greeks of the unlocked LP, locked LP and gain contract."""
-    table = greeks_table(_locked_state(scenario, "table"), scenario.ig_contract(), scenario.spot)
+    table = greeks_table(scenario.locked_state("table"), scenario.ig_contract(), scenario.spot)
     click.echo(table.as_text())
     if out_path:
         Path(out_path).write_text(table.as_csv())
@@ -167,7 +161,7 @@ def cmd_table(scenario: ScenarioConfig, out_path: Optional[str]) -> None:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def cmd_hedge(scenario: ScenarioConfig, out_path: Optional[str]) -> None:
     """Greeks of the locked position hedged with the gain contract."""
-    hedged = hedge_report(scenario.lp_state(), scenario.ig_contract(),
+    hedged = hedge_report(scenario.locked_state("hedge"), scenario.ig_contract(),
                           scenario.market, scenario.spot)
     click.echo(f"{'greek':<10}{'locked_lp':>22}{'ig':>22}{'sum':>22}")
     for name, lp, ig, total in zip(GREEK_LABELS, hedged.lp, hedged.ig, hedged.total):

@@ -70,6 +70,12 @@ class ScenarioConfig:
             locked=self.position.locked,
         )
 
+    def locked_state(self, user: str) -> LpState:
+        """lp_state, or a ConfigError naming user, the command that needs it, if unlocked."""
+        if not self.position.locked:
+            raise ConfigError(f"{user} needs a locked position: position.locked is false")
+        return self.lp_state()
+
     def ig_contract(self) -> IgContract:
         if self.ig is None:
             raise ConfigError("ig: block is required for this command")

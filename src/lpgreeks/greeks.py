@@ -185,8 +185,9 @@ def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) 
     s_t and greeks_ig, bit for bit, from one evaluation of the position's decay factors.
 
     Requires matching terms: the contract strike at the pool entry price, equal notionals, equal
-    maturities and a shared clock. Gamma and vega cancel at the formula level; a residual beyond
-    1e-10 of the leg magnitude indicates a broken formula and raises ArithmeticError.
+    maturities, a shared clock and a market equal to lp.market. Both legs and the predictions are
+    valued under lp.market, so its zero signs win. Gamma and vega cancel at the formula level; a
+    residual beyond 1e-10 of the leg magnitude means a broken formula and raises ArithmeticError.
     """
     if not lp.locked:
         raise HedgeMismatchError("hedge requires a locked position")
@@ -206,9 +207,10 @@ def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) 
         raise HedgeMismatchError("market parameters differ between the legs")
 
     require_positive("s_t", s_t)
-    factors = _factors(lp.market, lp.tau)
+    m = lp.market
+    factors = _factors(m, lp.tau)
     lp_g = _locked_lp(lp, s_t, factors)
-    ig_g = _ig(ig, s_t, market, factors)
+    ig_g = _ig(ig, s_t, m, factors)
     total = _sum_reports(lp_g, ig_g)
     for name, i in (("gamma", 2), ("vega", 4)):
         residual, scale = total[i], max(abs(lp_g[i]), abs(ig_g[i]))
@@ -216,9 +218,9 @@ def hedge_report(lp: LpState, ig: IgContract, market: MarketParams, s_t: float) 
             raise ArithmeticError(f"{name} legs failed to cancel: residual {residual!r}")
 
     v0 = ig.notional_v0
-    half_plus_fees = 0.5 + market.phi * ig.maturity_T
+    half_plus_fees = 0.5 + m.phi * ig.maturity_T
     delta_pred = v0 / (2.0 * ig.strike_k)
-    theta_pred = require_finite("theta_pred", v0 * market.r_f * half_plus_fees * factors[1])
+    theta_pred = require_finite("theta_pred", v0 * m.r_f * half_plus_fees * factors[1])
     rho_pred = require_finite("rho_pred", -v0 * ig.tau * half_plus_fees * factors[1])
     return tuple.__new__(HedgedGreeks, (lp_g, ig_g, total, delta_pred, theta_pred, rho_pred))
 

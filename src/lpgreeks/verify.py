@@ -74,11 +74,9 @@ def run_verification(scenario: ScenarioConfig) -> list[CheckResult]:
         raise ConfigError("mc: block is required for verification")
     if scenario.mc.n_paths < 2:
         raise ConfigError(f"mc.n_paths: a standard error needs 2 paths, got {scenario.mc.n_paths}")
-    if not scenario.position.locked:
-        raise ConfigError("position.locked: verification prices the locked position")
 
     market = scenario.market
-    state = scenario.lp_state()
+    state = scenario.locked_state("verify")
     contract = scenario.ig_contract()
     lp_scn = McScenario(market=market, s_t=scenario.spot, tau=state.tau,
                         v0=state.position.notional_v0,

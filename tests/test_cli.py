@@ -315,6 +315,28 @@ class TestTableCommand:
                                  "position.locked is false\n")
 
 
+# each command that needs a locked position -> its other options, and the name its error gives it
+LOCKED_ONLY = {"price": (["--strategy", "locked-lp"], "--strategy locked-lp"),
+               "greeks": (["--strategy", "locked-lp"], "--strategy locked-lp"),
+               "table": ([], "table"), "hedge": ([], "hedge"), "verify": ([], "verify")}
+
+
+# without its ig block, the config also shows that the locked rule is checked first
+@pytest.mark.parametrize("with_ig", [True, False], ids=["with-ig", "without-ig"])
+@pytest.mark.parametrize("command", LOCKED_ONLY)
+def test_locked_only_commands_share_one_unlocked_error(runner, tmp_path, command, with_ig):
+    options, user = LOCKED_ONLY[command]
+    data = json.loads(HALF_YEAR_CONFIG.read_text())
+    data["position"]["locked"] = False
+    if not with_ig:
+        del data["ig"]
+    result = runner.invoke(cli, [command, "--config", str(write_config(tmp_path, data)),
+                                 *options])
+    assert result.exit_code == 2
+    assert result.stderr == (f"config error: {user} needs a locked position: "
+                             "position.locked is false\n")
+
+
 class TestFigureCommand:
     def test_il_curve(self, runner, tmp_path):
         out = tmp_path / "il.csv"
@@ -419,7 +441,7 @@ class TestVerifyCommand:
         result = runner.invoke(cli, ["verify", "--config", str(write_config(tmp_path, data))])
         assert result.exit_code == 2
         assert result.stderr == (
-            "config error: position.locked: verification prices the locked position\n")
+            "config error: verify needs a locked position: position.locked is false\n")
 
     def test_single_path_config_exits_2(self, runner, tmp_path):
         # one path estimates no standard error: every Monte Carlo row would read z = +-inf

@@ -493,11 +493,6 @@ class TestRecordContract:
                 (getattr(a, name) + getattr(b, name)).hex() for name in GREEK_LABELS]
 
 
-def test_greek_labels_follow_report_fields():
-    # _sum_reports and GreeksReport.at_spot build reports positionally in this order
-    assert tuple(GREEK_LABELS) == GreeksReport._fields
-
-
 @pytest.mark.parametrize("strategy", ["unlocked-lp", "locked-lp", "ig"])
 def test_delta_survives_an_overflowing_root_product(strategy, half_year_market):
     # s0 * s_t = 1e310 overflows to inf, which used to make delta 0 (IG: the
@@ -590,8 +585,9 @@ class TestHedgeParity:
             for m in (lp.market, market):
                 assert _outcome(lambda: decay_factors(m, lp.tau)) == _outcome(
                     lambda: DecayFactors(*pricing._factors(m, lp.tau)))
+            # both legs and the predictions are valued under lp.market, whose zero signs win
             want = _outcome(lambda: (_hexes(greeks_locked_lp(replace(lp, s_t=s_t))),
-                                     _hexes(greeks_ig(ig, s_t, market))))
+                                     _hexes(greeks_ig(ig, s_t, lp.market))))
             try:
                 hedged = hedge_report(lp, ig, market, s_t)
             except DomainError as exc:
@@ -604,10 +600,10 @@ class TestHedgeParity:
                 got = want
             else:
                 got = (_hexes(hedged.lp), _hexes(hedged.ig))
-                gamma_disc = decay_factors(market, ig.tau).gamma_disc
-                half_plus_fees = 0.5 + market.phi * ig.maturity_T
+                gamma_disc = decay_factors(lp.market, ig.tau).gamma_disc
+                half_plus_fees = 0.5 + lp.market.phi * ig.maturity_T
                 assert hedged.theta_pred.hex() == (
-                    ig.notional_v0 * market.r_f * half_plus_fees * gamma_disc).hex()
+                    ig.notional_v0 * lp.market.r_f * half_plus_fees * gamma_disc).hex()
                 assert hedged.rho_pred.hex() == (
                     -ig.notional_v0 * ig.tau * half_plus_fees * gamma_disc).hex()
             assert got == want

@@ -1,4 +1,3 @@
-import ast
 import csv
 import dataclasses
 import math
@@ -901,16 +900,6 @@ class TestNormalCdf:
         assert worst["stdlib"] <= worst["scipy"], worst
         assert worst["stdlib"] < 2e3, worst
         assert replication._ncdf(-math.inf) == 0.0 and replication._ncdf(math.inf) == 1.0
-
-
-def test_replication_imports_nothing_from_scipy():
-    # the strip and the vanillas run on the standard library's exp and erfc
-    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "lpgreeks"
-                      / "replication.py").read_text())
-    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names]
-    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert not [name for name in imported if name.split(".")[0] == "scipy"], imported
 
 
 class TestKinkTerm:

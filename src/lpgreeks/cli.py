@@ -87,9 +87,6 @@ class _Cli(click.Group):
         except (DomainError, OverflowError) as exc:
             click.echo(f"domain error: {exc}", err=True)
             sys.exit(3)
-        except ArithmeticError as exc:
-            click.echo(f"internal consistency failure: {exc}", err=True)
-            sys.exit(1)
 
 
 @click.group(cls=_Cli)

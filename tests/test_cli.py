@@ -675,14 +675,6 @@ class TestErrorMapping:
         assert result.exit_code == 2
         assert result.output == f"config error: {message}\n"
 
-    def test_failed_cancellation_is_an_internal_consistency_failure(
-            self, runner, monkeypatch):
-        monkeypatch.setattr("lpgreeks.greeks._CANCEL_TOL", -1.0)
-        result = runner.invoke(cli, ["hedge", "--config", str(HEDGE_CONFIG)])
-        assert result.exit_code == 1
-        assert result.output.startswith(
-            "internal consistency failure: gamma legs failed to cancel")
-
 
 # runpy warns that it re-executes a module this test process has already imported
 _ENTRY_POINTS = pytest.mark.parametrize("run", [

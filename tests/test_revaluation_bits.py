@@ -2,8 +2,8 @@
 
 The reference is the plain route to each result: `_factors` as two `_exp`-style guarded calls
 (tau checked first, the tau = 0 limit, then exp and its overflow test), every report built as
-`GreeksReport(*values)`, and `hedge_report` with its equality test on the markets, its
-`getattr` cancellation test and a keyword `HedgedGreeks`. The three prices and the three
+`GreeksReport(*values)`, and `hedge_report` with its equality test on the markets and a
+keyword `HedgedGreeks`. The three prices and the three
 greek reports run once as shipped and once with the reference `_factors` and `at_spot`
 patched in; `hedge_report`, `decay_factors` and both moments are compared with their typed-out
 bodies. Values are compared by `.hex()`, records by their exact type too, and
@@ -104,11 +104,6 @@ def ref_hedge_report(lp, ig, market, s_t):
     lp_g = greeks._locked_lp(lp, s_t, factors)
     ig_g = greeks._ig(ig, s_t, market, factors)
     total = ref_sum_reports(lp_g, ig_g)
-    for name in ("gamma", "vega"):
-        residual = getattr(total, name)
-        scale = max(abs(getattr(lp_g, name)), abs(getattr(ig_g, name)))
-        if scale > 0.0 and abs(residual) > greeks._CANCEL_TOL * scale:
-            raise ArithmeticError(f"{name} legs failed to cancel: residual {residual!r}")
     v0 = ig.notional_v0
     half_plus_fees = 0.5 + market.phi * ig.maturity_T
     return HedgedGreeks(

@@ -24,6 +24,7 @@ from .errors import ConfigError, DomainError, HedgeMismatchError
 from .greeks import (
     GREEK_LABELS,
     GreeksReport,
+    _g17,
     greeks_ig,
     greeks_locked_lp,
     greeks_table,
@@ -32,7 +33,7 @@ from .greeks import (
 )
 from .payoff import _evenly_spaced, il_curve
 from .pricing import decay_factors, price_ig, price_locked_lp, price_unlocked_lp
-from .verify import _g17, run_verification, write_report
+from .verify import run_verification, write_report
 
 _FIGURE_POINTS = 201
 

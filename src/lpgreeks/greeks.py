@@ -30,6 +30,10 @@ GREEK_LABELS: dict[str, str] = {
 }
 
 
+def _g17(value: float) -> str:
+    return format(value, ".17g")
+
+
 class GreeksReport(NamedTuple):
     """Price sensitivities of one strategy, in token-y units: an immutable record.
 
@@ -246,8 +250,7 @@ class GreeksTable:
     def as_csv(self) -> str:
         lines = ["greek,unlocked_lp,locked_lp,impermanent_gain"]
         for label, unlocked, locked, ig in self.rows():
-            lines.append(
-                f"{label},{format(unlocked, '.17g')},{format(locked, '.17g')},{format(ig, '.17g')}")
+            lines.append(f"{label},{_g17(unlocked)},{_g17(locked)},{_g17(ig)}")
         return "\n".join(lines) + "\n"
 
 

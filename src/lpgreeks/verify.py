@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .config import ScenarioConfig
 from .errors import ConfigError
-from .greeks import GREEK_LABELS, GreeksReport, greeks_ig, greeks_locked_lp, greeks_unlocked_lp
+from .greeks import (GREEK_LABELS, GreeksReport, _g17, greeks_ig, greeks_locked_lp,
+                     greeks_unlocked_lp)
 from .mc import GREEK_NAMES, McScenario, fd_greek, mc_price
 from .pricing import expected_sqrt_price, forward_price, price_ig, price_locked_lp
 from .replication import DEFAULT_TARGET_TOL, build_strike_grid, price_ig_via_strip, vanilla_price
@@ -130,10 +131,6 @@ def run_verification(scenario: ScenarioConfig) -> list[CheckResult]:
     strip = price_ig_via_strip(contract, scenario.spot, market, grid)
     rows.append(("strip/ig", ig_closed, strip, 0.0, STRIP_REL_TOL))
     return [_check(*row) for row in rows]
-
-
-def _g17(value: float) -> str:
-    return format(value, ".17g")
 
 
 def report_lines(results: list[CheckResult]) -> list[str]:

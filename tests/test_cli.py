@@ -86,34 +86,12 @@ class TestPriceCommand:
         state = LpState(pos, market, s_t=1000.0, t=0.25, maturity_T=0.5, locked=True)
         assert record["price"] == price_locked_lp(state)
 
-    def test_wrong_lock_state_is_config_error(self, runner, tmp_path):
-        data = {
-            "market": {"r_f": 0.0, "sigma": 0.2, "phi": 0.0},
-            "position": {"v0": 1, "s0": 1, "locked": False},
-            "spot": 1,
-        }
-        path = write_config(tmp_path, data)
-        result = runner.invoke(cli, ["price", "--config", str(path),
-                                     "--strategy", "locked-lp"])
-        assert result.exit_code == 2
-
     def test_unlocked_lp_values_a_locked_position_as_redeemable(self, runner):
         # V0 * (sqrt(s_t/s0) + phi*t) = 10000 * (1 + 0.1*0.25)
         result = runner.invoke(cli, ["price", "--config", str(HALF_YEAR_CONFIG),
                                      "--strategy", "unlocked-lp"])
         assert result.exit_code == 0
         assert "price:      10250\n" in result.output
-
-    @pytest.mark.parametrize("command", ["price", "greeks"])
-    def test_locked_lp_on_an_unlocked_config_names_position_locked(self, runner, tmp_path,
-                                                                   command):
-        data = json.loads(HALF_YEAR_CONFIG.read_text())
-        data["position"]["locked"] = False
-        result = runner.invoke(cli, [command, "--config", str(write_config(tmp_path, data)),
-                                     "--strategy", "locked-lp"])
-        assert result.exit_code == 2
-        assert result.stderr == ("config error: --strategy locked-lp needs a locked position: "
-                                 "position.locked is false\n")
 
     def test_unlocked_lp_echoes_the_factors_of_its_redeemable_price(self, runner, tmp_path):
         # the redeemable price uses tau = 0, where both decay factors are exactly 1
@@ -305,15 +283,6 @@ class TestTableCommand:
         assert lines[0] == "greek,unlocked_lp,locked_lp,impermanent_gain"
         assert len(lines) == 8
 
-    def test_needs_locked_position(self, runner, tmp_path):
-        data = json.loads(HALF_YEAR_CONFIG.read_text())
-        data["position"]["locked"] = False
-        path = write_config(tmp_path, data)
-        result = runner.invoke(cli, ["table", "--config", str(path)])
-        assert result.exit_code == 2
-        assert result.stderr == ("config error: table needs a locked position: "
-                                 "position.locked is false\n")
-
 
 # each command that needs a locked position -> its other options, and the name its error gives it
 LOCKED_ONLY = {"price": (["--strategy", "locked-lp"], "--strategy locked-lp"),
@@ -435,14 +404,6 @@ class TestVerifyCommand:
         data["mc"] = small_mc(n=n, seed=seed, workers=workers)
         return write_config(tmp_path, data, "verify.json")
 
-    def test_unlocked_position_exits_2(self, runner, tmp_path):
-        data = json.loads(HALF_YEAR_CONFIG.read_text())
-        data["position"]["locked"] = False
-        result = runner.invoke(cli, ["verify", "--config", str(write_config(tmp_path, data))])
-        assert result.exit_code == 2
-        assert result.stderr == (
-            "config error: verify needs a locked position: position.locked is false\n")
-
     def test_single_path_config_exits_2(self, runner, tmp_path):
         # one path estimates no standard error: every Monte Carlo row would read z = +-inf
         result = runner.invoke(cli, ["verify", "--config", str(self._config(tmp_path, n=1))])
@@ -458,15 +419,6 @@ class TestVerifyCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "check_name,closed_form,mc_mean,std_error,z_score,pass"
         assert all(line.endswith(",true") for line in lines[1:])
-
-    def test_reports_are_byte_identical(self, runner, tmp_path):
-        path = self._config(tmp_path)
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert runner.invoke(cli, ["verify", "--config", str(path),
-                                   "--out", str(out_a)]).exit_code == 0
-        assert runner.invoke(cli, ["verify", "--config", str(path),
-                                   "--out", str(out_b)]).exit_code == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_seed_and_paths_overrides(self, runner, tmp_path):
         path = self._config(tmp_path)

